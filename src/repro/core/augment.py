@@ -54,10 +54,6 @@ def _take(col: ColumnView, idx: list[int]) -> ColumnView:
     )
 
 
-def _reembed_unit(tokens: list[str], embedder) -> np.ndarray:
-    return embedder.tokens_vec(tokens)
-
-
 def apply_op(view: TableView, op: str, rng: np.random.Generator, embedder=None) -> TableView:
     """Return an augmented copy of ``view`` (never mutates the input)."""
     cols = view.cols
@@ -115,7 +111,7 @@ def apply_op(view: TableView, op: str, rng: np.random.Generator, embedder=None) 
                 units[ui] = toks
                 vecs = c.vecs.copy()
                 if embedder is not None:
-                    vecs[ui] = _reembed_unit(toks, embedder)
+                    vecs[ui] = embedder.tokens_vec(toks)
                 c = replace(c, units=units, vecs=vecs)
         else:
             raise ValueError(f"unknown op {op!r}")

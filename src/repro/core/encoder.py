@@ -16,7 +16,8 @@ the paper's SingleCol baseline, so the Starmie-vs-SingleCol comparison
 measures precisely what the paper measures: the value of table context.
 
 Inference is a Spark pass (``infer_embeddings``): ``applyInPandas``
-grouped by table with broadcast Word2Vec vectors and encoder weights.
+grouped by table with the broadcast ``Embedder`` and trained encoder,
+running the same ``table_view`` → ``encode_view`` path as training.
 """
 from __future__ import annotations
 
@@ -85,6 +86,28 @@ def train_word2vec(
     return Embedder(vectors=vecs, dim=dim)
 
 
+def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
+    """One table as a ``TableView``, the encoder's input in training and inference.
+
+    ``cols`` yields ``(col_idx, units, numeric_frac, empty_frac)`` per
+    column, in column order.
+    """
+    views = []
+    for col_idx, units, numeric_frac, empty_frac in cols:
+        units = [list(u) for u in units]
+        views.append(ColumnView(
+            col_id=int(col_idx),
+            units=units,
+            vecs=embedder.unit_vecs(units),
+            is_numeric=numeric_frac > 0.5,
+            empty_frac=float(empty_frac),
+        ))
+    return TableView(table_id=table_id, cols=views)
+
+
+_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac")
+
+
 def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, TableView]:
     """Collect the preprocessed lake to driver-side TableViews for training.
 
@@ -92,26 +115,14 @@ def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, Tab
     small; the encoder's two 64×64 matrices make a distributed optimizer
     pure overhead (see DESIGN.md §3).
     """
-    rows = prep_df.select(
-        "table_id", "col_idx", "units", "numeric_frac", "empty_frac"
-    ).collect()
+    rows = prep_df.select("table_id", *_VIEW_COLS).collect()
     grouped: dict[str, list] = {}
     for r in rows:
         grouped.setdefault(r["table_id"], []).append(r)
     out: dict[str, TableView] = {}
     for tid, rs in grouped.items():
         rs.sort(key=lambda r: r["col_idx"])
-        cols = [
-            ColumnView(
-                col_id=int(r["col_idx"]),
-                units=[list(u) for u in r["units"]],
-                vecs=embedder.unit_vecs([list(u) for u in r["units"]]),
-                is_numeric=r["numeric_frac"] > 0.5,
-                empty_frac=float(r["empty_frac"]),
-            )
-            for r in rs
-        ]
-        out[tid] = TableView(table_id=tid, cols=cols)
+        out[tid] = table_view(tid, [r[1:] for r in rs], embedder)
     return out
 
 
@@ -141,8 +152,6 @@ class TrainStats:
 
 class MultiColumnEncoder:
     """Starmie's contextualized column encoder (trainable W1, W2)."""
-
-    uses_context = True
 
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         g = np.random.default_rng(seed)
@@ -213,15 +222,9 @@ class MultiColumnEncoder:
         opt.step([du.T @ b, du.T @ c])
         return loss
 
-    # -- Spark inference ---------------------------------------------------
-    def weights(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1.copy(), "W2": self.W2.copy()}
-
 
 class SingleColEncoder(MultiColumnEncoder):
     """The paper's SingleCol baseline: same training, no context path."""
-
-    uses_context = False
 
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         super().__init__(d_in, d_out, seed)
@@ -272,40 +275,23 @@ def infer_embeddings(
 ) -> DataFrame:
     """Lake-wide model inference: one contextualized embedding per column.
 
-    Runs as ``applyInPandas`` grouped by table with broadcast token
-    vectors + encoder weights — the offline embedding pass of Fig. 2.
+    Runs as ``applyInPandas`` grouped by table with the token vectors and
+    the trained encoder broadcast — the offline embedding pass of Fig. 2.
+    Each table goes through ``table_view`` and ``encoder.encode_view``,
+    the same featurization and forward pass training uses.
     """
-    spark = prep_df.sparkSession
-    vec_b = spark.sparkContext.broadcast(embedder.vectors)
-    w_b = spark.sparkContext.broadcast(encoder.weights())
-    dim = embedder.dim
-    use_ctx = encoder.uses_context
+    sc = prep_df.sparkSession.sparkContext
+    emb_b = sc.broadcast(embedder)
+    enc_b = sc.broadcast(encoder)
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("col_idx")
-        vecs = vec_b.value
-        w = w_b.value
-        b = np.zeros((len(pdf), dim), dtype=np.float64)
-        for i, units in enumerate(pdf["units"]):
-            acc, k = np.zeros(dim), 0
-            for u in units:
-                uv, uk = np.zeros(dim), 0
-                for t in u:
-                    tv = vecs.get(t)
-                    if tv is not None:
-                        uv += tv
-                        uk += 1
-                if uk:
-                    acc += uv / uk
-                    k += 1
-            if k:
-                b[i] = acc / k
-        if use_ctx and len(pdf) > 1:
-            c = (b.sum(axis=0, keepdims=True) - b) / (len(pdf) - 1)
-        else:
-            c = np.zeros_like(b)
-        u = b @ w["W1"].T + c @ w["W2"].T
-        z = normalize_rows(u)
+        view = table_view(
+            pdf["table_id"].iloc[0],
+            zip(*(pdf[c] for c in _VIEW_COLS)),
+            emb_b.value,
+        )
+        z = enc_b.value.encode_view(view)
         return pd.DataFrame(
             {
                 "table_id": pdf["table_id"].values,

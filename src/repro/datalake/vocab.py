@@ -88,6 +88,10 @@ def _int(name: str, lo: int, hi: int, shared: bool = False) -> TypeSpec:
 def _build_types() -> dict[str, TypeSpec]:
     months = ("January", "February", "March", "April", "May", "June", "July",
               "August", "September", "October", "November", "December")
+    # Second words of two-word values, built once per pool.
+    surnames = make_words(9103, 320)
+    epithets = make_words(9204, 130, title=False)
+    director_surnames = make_words(9226, 90)
     t: list[TypeSpec] = [
         # ---- shared / ambiguous types (the Fig. 1 failure mode) ----
         TypeSpec("year", "int", lo=1980, hi=2023, shared=True),
@@ -98,13 +102,13 @@ def _build_types() -> dict[str, TypeSpec]:
         TypeSpec("date", "text", shared=True, pool=tuple(
             f"{d:02d}/{m:02d}" for m in range(1, 13) for d in range(1, 29))),
         _text("person_name", 103, 320, shared=True,
-              fmt=lambda w, i: w + " " + make_words(9103, 320)[i]),
+              fmt=lambda w, i: w + " " + surnames[i]),
         _text("country", 104, 60, shared=True),
         # ---- domain-specific text types (disjoint pools) ----
         _text("travel_mode", 201, 8),
         _text("purpose", 202, 48, fmt=lambda w, i: w + " " + ["Meeting", "Visit", "Review", "Audit"][i % 4]),
         _text("species_common", 203, 130, fmt=lambda w, i: w + " " + ["Finch", "Robin", "Owl", "Heron", "Wren"][i % 5]),
-        _text("species_sci", 204, 130, fmt=lambda w, i: w + " " + make_words(9204, 130, title=False)[i]),
+        _text("species_sci", 204, 130, fmt=lambda w, i: w + " " + epithets[i]),
         _text("school", 205, 150, fmt=lambda w, i: w + " " + ["Elementary School", "High School", "Academy", "Middle School"][i % 4]),
         _text("store", 206, 120, fmt=lambda w, i: w + " " + ["Market", "Grocery", "Co-op", "Foods"][i % 4]),
         _text("song", 207, 220),
@@ -126,7 +130,7 @@ def _build_types() -> dict[str, TypeSpec]:
         _text("sport", 223, 20),
         _text("league", 224, 16, fmt=lambda w, i: w + " League"),
         _text("movie", 225, 180),
-        _text("director", 226, 90, fmt=lambda w, i: w + " " + make_words(9226, 90)[i]),
+        _text("director", 226, 90, fmt=lambda w, i: w + " " + director_surnames[i]),
         _text("genre", 227, 14),
         _text("language", 228, 30),
         _text("museum", 229, 90, fmt=lambda w, i: w + " Museum"),

@@ -97,8 +97,58 @@ class MethodBundle:
     tau: float
     store: TableStore | None = None
     ranker: SantosRanker | None = None
-    train_seconds: float = 0.0
-    infer_seconds: float = 0.0
+
+
+_BASELINE_EMBEDDINGS = {
+    "sherlock": sherlock_embeddings,
+    "sato": sato_embeddings,
+    "d3l": d3l_embeddings,
+}
+
+
+def train_encoder(
+    prep: Prepared,
+    method: str,
+    *,
+    op: str = "drop_col",
+    epochs: int = 10,
+    batch_tables: int = 8,
+    lr: float = 5e-3,
+    seed: int = 0,
+) -> MultiColumnEncoder:
+    """Contrastively train Starmie's (or SingleCol's) column encoder (Alg. 1)."""
+    views = collect_table_views(prep.prep_df, prep.embedder)
+    cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
+    enc = cls(d_in=prep.embedder.dim, seed=seed)
+    enc.train(
+        views, op=op, n_epochs=epochs, batch_tables=batch_tables,
+        lr=lr, seed=seed, embedder=prep.embedder,
+    )
+    return enc
+
+
+def method_embeddings_df(
+    prep: Prepared,
+    method: str,
+    *,
+    op: str = "drop_col",
+    epochs: int = 10,
+    batch_tables: int = 8,
+    lr: float = 5e-3,
+    seed: int = 0,
+) -> DataFrame:
+    """The column-embedding DataFrame of a vector method (EMB_SCHEMA).
+
+    The training keywords apply to the learned encoders (``starmie``,
+    ``singlecol``); the feature baselines have nothing to train.
+    """
+    if method in ("starmie", "singlecol"):
+        enc = train_encoder(
+            prep, method, op=op, epochs=epochs, batch_tables=batch_tables,
+            lr=lr, seed=seed,
+        )
+        return infer_embeddings(prep.prep_df, prep.embedder, enc)
+    return _BASELINE_EMBEDDINGS[method](prep.tokens_df, prep.embedder)
 
 
 def build_method(
@@ -115,57 +165,11 @@ def build_method(
     """Train/featurize one method on a prepared lake and load its vector store."""
     tau = DEFAULT_TAU.get(method, 0.6) if tau is None else tau
     if method == "santos":
-        t0 = time.perf_counter()
-        ranker = SantosRanker(prep.lake.tables())
-        return MethodBundle(
-            name=method, tau=tau, ranker=ranker,
-            train_seconds=time.perf_counter() - t0,
-        )
-    if method in ("starmie", "singlecol"):
-        views = collect_table_views(prep.prep_df, prep.embedder)
-        cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
-        enc = cls(d_in=prep.embedder.dim, seed=seed)
-        t0 = time.perf_counter()
-        enc.train(
-            views, op=op, n_epochs=epochs, batch_tables=batch_tables,
-            lr=lr, seed=seed, embedder=prep.embedder,
-        )
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        emb_df = infer_embeddings(prep.prep_df, prep.embedder, enc)
-        store = TableStore.from_embeddings_df(emb_df)
-        return MethodBundle(
-            name=method, tau=tau, store=store,
-            train_seconds=train_s, infer_seconds=time.perf_counter() - t0,
-        )
-    builders = {
-        "sherlock": sherlock_embeddings,
-        "sato": sato_embeddings,
-        "d3l": d3l_embeddings,
-    }
-    t0 = time.perf_counter()
-    emb_df = builders[method](prep.tokens_df, prep.embedder)
-    store = TableStore.from_embeddings_df(emb_df)
-    return MethodBundle(
-        name=method, tau=tau, store=store,
-        infer_seconds=time.perf_counter() - t0,
+        return MethodBundle(name=method, tau=tau, ranker=SantosRanker(prep.lake.tables()))
+    emb_df = method_embeddings_df(
+        prep, method, op=op, epochs=epochs, batch_tables=batch_tables, lr=lr, seed=seed,
     )
-
-
-def method_embeddings_df(prep: Prepared, method: str, **kw) -> DataFrame:
-    """The raw embedding DataFrame for a method (used by clustering/ML)."""
-    if method in ("starmie", "singlecol"):
-        views = collect_table_views(prep.prep_df, prep.embedder)
-        cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
-        enc = cls(d_in=prep.embedder.dim, seed=kw.pop("seed", 0))
-        enc.train(views, embedder=prep.embedder, **kw)
-        return infer_embeddings(prep.prep_df, prep.embedder, enc)
-    builders = {
-        "sherlock": sherlock_embeddings,
-        "sato": sato_embeddings,
-        "d3l": d3l_embeddings,
-    }
-    return builders[method](prep.tokens_df, prep.embedder)
+    return MethodBundle(name=method, tau=tau, store=TableStore.from_embeddings_df(emb_df))
 
 
 @dataclass

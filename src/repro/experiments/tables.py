@@ -27,7 +27,7 @@ RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
 # best on SANTOS and drop_cell best on TUS with RoBERTa; with our
 # Word2Vec+linear-contextual substitute, drop_col is consistently best on
 # both families (cell-level perturbations are too weak for mean-pooled
-# base vectors), so we use it throughout — noted in EXPERIMENTS.md.
+# base vectors), so we use it throughout — see DESIGN.md §2 and §5.
 BENCH_OP = {"santos": "drop_col", "tus": "drop_col", "wdc": "drop_col",
             "microbench": "drop_col"}
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
@@ -234,8 +234,7 @@ def table10_clustering(
     op = "drop_col"
     rows = []
     for m in methods:
-        kw = dict(op=op, n_epochs=epochs) if m in ("starmie", "singlecol") else {}
-        emb_df = method_embeddings_df(prep, m, **kw).cache()
+        emb_df = method_embeddings_df(prep, m, op=op, epochs=epochs).cache()
         best = None
         # θ grid scouting with driver union-find; the winning θ is re-run
         # through the distributed label-propagation CC.

@@ -136,8 +136,12 @@ class SearchEngine:
     def query(
         self, q: np.ndarray | str, k: int = 10, exclude_self: str | None = None
     ) -> tuple[list[tuple[str, float]], QueryStats]:
+        """Top-k unionable tables for a query table id or column matrix.
+
+        A query given by table id stays in the lake and can rank itself,
+        as in the paper; ``exclude_self`` names a table to leave out.
+        """
         if isinstance(q, str):
-            exclude_self = exclude_self  # query tables stay in the lake (as in the paper)
             q_mat = self.store.mats[q]
         else:
             q_mat = np.asarray(q, dtype=np.float32)

@@ -119,19 +119,21 @@ def test_multicolumn_uses_context(views, prep_santos):
     assert not np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
 
 
-def test_infer_matches_driver_encoding(prep_santos, views):
-    """Spark inference must agree with driver-side encode_view."""
-    enc = MultiColumnEncoder(d_in=64, seed=3)
+@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
+def test_infer_matches_driver_encoding(prep_santos, views, cls):
+    """Spark inference must agree with driver-side encode_view on every table."""
+    enc = cls(d_in=64, seed=3)
     emb_df = infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
     rows = emb_df.collect()
     by_table: dict[str, dict[int, np.ndarray]] = {}
     for r in rows:
         by_table.setdefault(r["table_id"], {})[r["col_idx"]] = np.asarray(r["emb"])
-    for tid, view in list(views.items())[:10]:
+    assert set(by_table) == set(views)
+    for tid, view in views.items():
         z = enc.encode_view(view)
         for i, c in enumerate(view.cols):
             got = by_table[tid][c.col_id]
-            assert np.allclose(got, z[i], atol=1e-4), tid
+            assert np.allclose(got, z[i], atol=1e-6), tid
 
 
 def test_infer_schema_carries_ground_truth(prep_santos):

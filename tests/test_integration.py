@@ -1,8 +1,10 @@
 """End-to-end integration: full pipeline → search → paper-shape assertions."""
+import numpy as np
 import pytest
 
 from repro.eval.metrics import evaluate_rankings
-from repro.experiments.common import build_method, run_union_search
+from repro.experiments.common import build_method, method_embeddings_df, run_union_search
+from repro.search.engine import TableStore
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +102,14 @@ def test_engine_memory_is_small_fraction(starmie_santos, tiny_santos):
     )
     approx_lake_bytes = lake_cells * 8  # very conservative lower bound
     assert starmie_santos.store.memory_bytes() < 50 * approx_lake_bytes
+
+
+@pytest.mark.parametrize("method", ["starmie", "sherlock"])
+def test_build_method_loads_method_embeddings(prep_santos, method):
+    """build_method's store is exactly method_embeddings_df's vectors."""
+    kw = dict(op="drop_col", epochs=3, lr=3e-3)
+    store = build_method(prep_santos, method, **kw).store
+    ref = TableStore.from_embeddings_df(method_embeddings_df(prep_santos, method, **kw))
+    assert store.table_ids == ref.table_ids
+    for tid in ref.table_ids:
+        np.testing.assert_array_equal(store.mats[tid], ref.mats[tid])

@@ -1,4 +1,6 @@
 """Vocabulary / domain-schema invariants the generator relies on."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,15 @@ def test_domain_names_unique():
     names = [d.name for d in DOMAINS]
     assert len(set(names)) == len(names)
     assert len(names) >= 36
+
+
+# sha256 over repr([(name, pool), ...]) for TYPES in definition order.
+# Every generated lake draws its values from these pools, so a change here
+# silently changes every corpus, ranking and committed result.
+TYPES_POOLS_SHA256 = "b77c4c379d1f39fe8e05f78b26bc8690606b3132f8dc16a6457b299d9d0f5b80"
+
+
+def test_type_pools_pinned():
+    pairs = [(name, spec.pool) for name, spec in TYPES.items()]
+    assert len(pairs) == 79
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == TYPES_POOLS_SHA256
