@@ -21,7 +21,6 @@ running the same ``table_view`` → ``encode_view`` path as training.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +146,6 @@ def context_vectors(b: np.ndarray) -> np.ndarray:
 @dataclass
 class TrainStats:
     losses: list[float]
-    seconds: float
 
 
 class MultiColumnEncoder:
@@ -189,14 +187,13 @@ class MultiColumnEncoder:
         opt = Adam([self.W1, self.W2], lr=lr)
         tids = sorted(tables)
         losses: list[float] = []
-        t0 = time.perf_counter()
         for _ in range(n_epochs):
             order = rng.permutation(len(tids))
             for s in range(0, len(tids), batch_tables):
                 batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
                 loss = self._step(batch, op, rng, opt, tau, embedder)
                 losses.append(loss)
-        return TrainStats(losses=losses, seconds=time.perf_counter() - t0)
+        return TrainStats(losses=losses)
 
     def _step(self, batch, op, rng, opt, tau, embedder) -> float:
         views: list[tuple[TableView, TableView]] = []
@@ -204,11 +201,9 @@ class MultiColumnEncoder:
             views.append((v, apply_op(v, op, rng, embedder=embedder)))
         b_blocks, c_blocks, pairs = [], [], []
         offset = 0
-        offsets: list[tuple[int, int]] = []
         for ori, aug in views:
             bo, co = self._features(ori)
             ba, ca = self._features(aug)
-            offsets.append((offset, offset + len(ori.cols)))
             pairs.extend(
                 aligned_pairs(ori, aug, offset, offset + len(ori.cols))
             )
@@ -240,23 +235,10 @@ class SingleColEncoder(MultiColumnEncoder):
         col_op = op if op in ("drop_cell", "drop_token", "swap_token",
                               "repl_token", "sample_row", "sample_row_ordered",
                               "shuffle_row") else "sample_row"
-        singles: list[TableView] = []
-        for v in batch:
-            for c in v.cols:
-                singles.append(TableView(v.table_id, [c]))
-        views = [(s, apply_op(s, col_op, rng, embedder=embedder)) for s in singles]
-        b_blocks, pairs = [], []
-        offset = 0
-        for ori, aug in views:
-            pairs.extend(aligned_pairs(ori, aug, offset, offset + 1))
-            b_blocks.append(base_vectors(ori, self.d_in))
-            b_blocks.append(base_vectors(aug, self.d_in))
-            offset += 2
-        b = np.vstack(b_blocks)
-        u = self.forward(b, None)
-        loss, du = loss_and_grad(u, pairs, tau)
-        opt.step([du.T @ b, np.zeros_like(self.W2)])
-        return loss
+        # A one-column view has a zero context vector, so W2 gets a zero
+        # gradient and stays zero.
+        singles = [TableView(v.table_id, [c]) for v in batch for c in v.cols]
+        return super()._step(singles, col_op, rng, opt, tau, embedder)
 
 
 EMB_SCHEMA = T.StructType(

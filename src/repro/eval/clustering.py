@@ -111,7 +111,6 @@ def cluster_columns(
     emb_df: DataFrame,
     *,
     theta: float = 0.6,
-    min_cluster: int = 1,
     use_spark: bool = True,
 ) -> ClusteringResult:
     """The full Table 10 pipeline: graph → components → purity vs sem_type."""
@@ -128,10 +127,8 @@ def cluster_columns(
     sizes: dict[int, int] = {}
     for c in assignment.values():
         sizes[c] = sizes.get(c, 0) + 1
-    keep = {c for c, s in sizes.items() if s >= min_cluster}
-    assignment = {i: c for i, c in assignment.items() if c in keep}
-    n = len(keep)
-    avg = (sum(sizes[c] for c in keep) / n) if n else 0.0
+    n = len(sizes)
+    avg = len(assignment) / n if n else 0.0
     return ClusteringResult(
         n_clusters=n, avg_size=avg, purity=purity(assignment, labels)
     )

@@ -216,15 +216,17 @@ def embed_query_table(
     embedder: Embedder,
     encoder: MultiColumnEncoder,
     idf: dict[str, float],
-    *,
-    budget: int = 40,
 ) -> tuple[list[str], np.ndarray]:
-    """Driver-side embedding of a query table with the trained encoder."""
+    """Driver-side embedding of a query table with the trained encoder.
+
+    Preprocessing uses ``preprocess_table``'s defaults, as ``prepare``
+    does for the lake.
+    """
     qcols = list(task.query_pdf.columns)
     cell_tokens = [
         [tokenize_cell(str(v)) for v in task.query_pdf[c]] for c in qcols
     ]
-    units = preprocess_table(cell_tokens, method="tfidf_entity", budget=budget, idf=idf)
+    units = preprocess_table(cell_tokens, idf=idf)
     view = table_view("query", [(i, u, 0.0, 0.0) for i, u in enumerate(units)], embedder)
     return qcols, encoder.encode_view(view)
 

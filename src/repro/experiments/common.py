@@ -8,7 +8,7 @@ vector store / index. Online stage: Algorithm 3 via ``SearchEngine``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -57,36 +57,20 @@ class Prepared:
     idf: dict[str, float]
     prep_df: DataFrame
     embedder: Embedder
-    timings: dict[str, float] = field(default_factory=dict)
 
 
-def prepare(
-    spark: SparkSession,
-    lake: Lake,
-    *,
-    sampling: str = "tfidf_entity",
-    budget: int = 40,
-    dim: int = 64,
-    w2v_iter: int = 2,
-    seed: int = 0,
-) -> Prepared:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
+def prepare(spark: SparkSession, lake: Lake) -> Prepared:
+    """Tokenize, score, preprocess (Alg. 2) and pre-train Word2Vec on a lake.
+
+    Sampling, token budget and Word2Vec settings are the defaults of
+    ``preprocess_lake`` and ``train_word2vec`` (DESIGN.md §3).
+    """
     tokens_df = tokenize_lake(lake.df).persist()
     idf = idf_map(tokens_df)
-    timings["tokenize_tfidf"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    prep_df = preprocess_lake(
-        tokens_df, method=sampling, budget=budget, idf=idf, seed=seed
-    ).persist()
+    prep_df = preprocess_lake(tokens_df, idf=idf).persist()
     prep_df.count()  # materialize
-    timings["preprocess"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    embedder = train_word2vec(prep_df, dim=dim, max_iter=w2v_iter, seed=42 + seed)
-    timings["word2vec_pretrain"] = time.perf_counter() - t0
-    return Prepared(spark, lake, tokens_df, idf, prep_df, embedder, timings)
+    embedder = train_word2vec(prep_df)
+    return Prepared(spark, lake, tokens_df, idf, prep_df, embedder)
 
 
 @dataclass
@@ -112,18 +96,13 @@ def train_encoder(
     *,
     op: str = "drop_col",
     epochs: int = 10,
-    batch_tables: int = 8,
     lr: float = 5e-3,
-    seed: int = 0,
 ) -> MultiColumnEncoder:
     """Contrastively train Starmie's (or SingleCol's) column encoder (Alg. 1)."""
     views = collect_table_views(prep.prep_df, prep.embedder)
     cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
-    enc = cls(d_in=prep.embedder.dim, seed=seed)
-    enc.train(
-        views, op=op, n_epochs=epochs, batch_tables=batch_tables,
-        lr=lr, seed=seed, embedder=prep.embedder,
-    )
+    enc = cls(d_in=prep.embedder.dim)
+    enc.train(views, op=op, n_epochs=epochs, lr=lr, embedder=prep.embedder)
     return enc
 
 
@@ -133,9 +112,7 @@ def method_embeddings_df(
     *,
     op: str = "drop_col",
     epochs: int = 10,
-    batch_tables: int = 8,
     lr: float = 5e-3,
-    seed: int = 0,
 ) -> DataFrame:
     """The column-embedding DataFrame of a vector method (EMB_SCHEMA).
 
@@ -143,10 +120,7 @@ def method_embeddings_df(
     ``singlecol``); the feature baselines have nothing to train.
     """
     if method in ("starmie", "singlecol"):
-        enc = train_encoder(
-            prep, method, op=op, epochs=epochs, batch_tables=batch_tables,
-            lr=lr, seed=seed,
-        )
+        enc = train_encoder(prep, method, op=op, epochs=epochs, lr=lr)
         return infer_embeddings(prep.prep_df, prep.embedder, enc)
     return _BASELINE_EMBEDDINGS[method](prep.tokens_df, prep.embedder)
 
@@ -157,18 +131,13 @@ def build_method(
     *,
     op: str = "drop_col",
     epochs: int = 10,
-    batch_tables: int = 8,
     lr: float = 5e-3,
-    tau: float | None = None,
-    seed: int = 0,
 ) -> MethodBundle:
     """Train/featurize one method on a prepared lake and load its vector store."""
-    tau = DEFAULT_TAU.get(method, 0.6) if tau is None else tau
+    tau = DEFAULT_TAU.get(method, 0.6)
     if method == "santos":
         return MethodBundle(name=method, tau=tau, ranker=SantosRanker(prep.lake.tables()))
-    emb_df = method_embeddings_df(
-        prep, method, op=op, epochs=epochs, batch_tables=batch_tables, lr=lr, seed=seed,
-    )
+    emb_df = method_embeddings_df(prep, method, op=op, epochs=epochs, lr=lr)
     return MethodBundle(name=method, tau=tau, store=TableStore.from_embeddings_df(emb_df))
 
 
@@ -178,7 +147,6 @@ class SearchRun:
     avg_query_seconds: float
     avg_verifications: float
     avg_candidates: float
-    engine_memory_bytes: int = 0
     index_build_seconds: float = 0.0
 
 
@@ -188,7 +156,6 @@ def run_union_search(
     *,
     k: int = 10,
     mode: str = "pruning",
-    engine_kwargs: dict | None = None,
 ) -> SearchRun:
     """Top-k union search for all queries; aggregates Algorithm 3 stats."""
     if bundle.ranker is not None:
@@ -197,9 +164,7 @@ def run_union_search(
         dt = (time.perf_counter() - t0) / max(1, len(queries))
         return SearchRun(rankings, dt, 0.0, 0.0)
     t0 = time.perf_counter()
-    engine = SearchEngine(
-        store=bundle.store, mode=mode, tau=bundle.tau, **(engine_kwargs or {})
-    )
+    engine = SearchEngine(store=bundle.store, mode=mode, tau=bundle.tau)
     build_s = time.perf_counter() - t0
     rankings: dict[str, list[str]] = {}
     agg = QueryStats()
@@ -215,6 +180,5 @@ def run_union_search(
         agg.seconds / n,
         agg.n_verifications / n,
         agg.n_candidates / n,
-        engine.memory_bytes(),
         build_s,
     )

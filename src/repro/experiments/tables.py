@@ -6,7 +6,6 @@ persists it under ``results/``. Jobs in ``jobs/`` are thin wrappers.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +269,6 @@ def scalability_sweep(
     bundle = build_method(prep, "starmie", op=_op_for(bench), epochs=epochs)
     rows = []
     for mode in modes:
-        t0 = time.perf_counter()
         for k in ks:
             run = run_union_search(bundle, lake.queries, k=k, mode=mode)
             rows.append({

@@ -30,6 +30,9 @@ from .matching import lower_bound, table_union_score, upper_bound
 
 MODES = ("linear", "pruning", "lsh", "hnsw")
 
+# HNSW beam width per query column (efSearch, §4.2).
+HNSW_EF_SEARCH = 48
+
 
 @dataclass
 class TableStore:
@@ -85,18 +88,20 @@ class QueryStats:
 
 @dataclass
 class SearchEngine:
+    """Algorithm 3 over a ``TableStore``.
+
+    The indexes are built on ``SimHashLSH``'s and ``HNSW``'s own defaults;
+    ``n_neighbors`` HNSW hits per query column, searched with beam width
+    ``HNSW_EF_SEARCH``, become candidates when their cosine is ≥ τ.
+    """
+
     store: TableStore
     mode: str = "linear"
     tau: float = 0.6
     n_neighbors: int = 24
-    ef_search: int = 48
-    lsh_tables: int = 8
-    lsh_bits: int = 12
-    hnsw_M: int = 8
-    hnsw_efc: int = 64
     seed: int = 0
-    _index: object = field(default=None, repr=False)
-    _owners: list[str] = field(default_factory=list, repr=False)
+    _index: object = field(init=False, default=None, repr=False)
+    _owners: list[str] = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
         assert self.mode in MODES, self.mode
@@ -104,16 +109,10 @@ class SearchEngine:
             vecs, owners = self.store.flat()
             self._owners = owners
             if self.mode == "lsh":
-                idx = SimHashLSH(
-                    self.store.dim, n_tables=self.lsh_tables,
-                    n_bits=self.lsh_bits, seed=self.seed,
-                )
+                idx = SimHashLSH(self.store.dim, seed=self.seed)
                 idx.add(np.arange(len(owners)), vecs)
             else:
-                idx = HNSW(
-                    self.store.dim, M=self.hnsw_M,
-                    ef_construction=self.hnsw_efc, seed=self.seed,
-                )
+                idx = HNSW(self.store.dim, seed=self.seed)
                 idx.add_batch(vecs)
             self._index = idx
 
@@ -127,7 +126,7 @@ class SearchEngine:
                 for cid in self._index.query(s):
                     cands.add(self._owners[cid])
             else:
-                for cid, sim in self._index.search(s, self.n_neighbors, ef=self.ef_search):
+                for cid, sim in self._index.search(s, self.n_neighbors, ef=HNSW_EF_SEARCH):
                     if sim >= self.tau:
                         cands.add(self._owners[cid])
         return sorted(cands)

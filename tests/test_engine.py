@@ -1,6 +1,8 @@
 """Algorithm 3 engine: exactness of linear/pruning, index modes, stats."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.search.engine import MODES, SearchEngine, TableStore
 from repro.search.matching import table_union_score
@@ -57,6 +59,49 @@ def test_pruning_identical_to_linear(store):
         r2, s2 = prn.query(q, k=6)
         assert r1 == r2
         assert s2.n_verifications <= s1.n_verifications
+
+
+@st.composite
+def random_lakes(draw):
+    """A random store plus a query, k from 1 to past the lake size, and τ.
+
+    Columns come from a small pool of unit vectors (optionally jittered),
+    so tables share columns and union scores tie, zero included. A tight
+    pool puts many edges above τ, where greedy matching is not optimal.
+    With ``no_edges`` the query and the lake span orthogonal subspaces,
+    so no query column reaches τ against any table.
+    """
+    g = np.random.default_rng(draw(st.integers(0, 2**16)))
+    spread = draw(st.sampled_from([0.4, 3.0]))
+    pool = unit(np.ones(6) + spread * g.normal(size=(8, 6)))
+    cols = st.lists(st.integers(0, 7), min_size=1, max_size=4)
+    jitter = draw(st.sampled_from([0.0, 0.2]))
+    no_edges = draw(st.booleans())
+    lake_dims = np.repeat([1.0, float(not no_edges)], 3)
+    query_dims = np.repeat([float(not no_edges), 1.0], 3)
+
+    def table(idx, dims):
+        return unit(dims * (pool[idx] + jitter * g.normal(size=(len(idx), 6))))
+
+    n_tables = draw(st.integers(1, 12))
+    mats = {f"t{t:02d}": table(draw(cols), lake_dims) for t in range(n_tables)}
+    q = table(draw(cols), query_dims).astype(np.float32)
+    k = draw(st.integers(1, n_tables + 3))
+    tau = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    return TableStore.from_arrays(mats), q, k, tau, no_edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lakes())
+def test_pruning_identical_to_linear_on_random_lakes(lake):
+    """Pruning returns linear's exact list: ids, scores, order, zero padding."""
+    store, q, k, tau, no_edges = lake
+    lin, _ = SearchEngine(store=store, mode="linear", tau=tau).query(q, k)
+    prn, _ = SearchEngine(store=store, mode="pruning", tau=tau).query(q, k)
+    assert prn == lin
+    assert len(lin) == min(k, len(store.table_ids))
+    if no_edges:
+        assert all(s == 0.0 for _, s in lin)
 
 
 def test_pruning_reduces_verifications(store):

@@ -89,12 +89,6 @@ def test_query_returns_self_first(tiny_santos, starmie_santos):
         assert ranked[0] == q
 
 
-def test_preprocessing_timings_recorded(prep_santos):
-    t = prep_santos.timings
-    assert {"tokenize_tfidf", "preprocess", "word2vec_pretrain"} <= set(t)
-    assert all(v > 0 for v in t.values())
-
-
 def test_engine_memory_is_small_fraction(starmie_santos, tiny_santos):
     """Table 6 shape: the vector store is far smaller than the lake."""
     lake_cells = sum(

@@ -4,14 +4,19 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.encoder import infer_embeddings
 from repro.eval.ml_discovery import (
+    MLTask,
     _lake_token_sets,
     augment_with_join,
     build_ml_corpus,
+    embed_query_table,
     retrieve_syntactic,
     summarize_ml,
     train_eval_gbt,
 )
+from repro.experiments.common import train_encoder
+from repro.search.engine import TableStore
 from repro.oracle import assert_equivalent
 
 
@@ -116,6 +121,26 @@ def test_gbt_improves_with_good_join(spark, corpus, prep_santos):
     joined = augment_with_join(spark, t, lake, t.good_tid, "Entity", 0)
     mse_good = train_eval_gbt(joined, prep_santos.embedder, max_iter=8)
     assert mse_good < mse_nojoin
+
+
+def test_query_featurization_matches_lake(tiny_santos, prep_santos):
+    """A lake table embedded as a query equals its lake embedding.
+
+    Fails if the query path's preprocessing drifts from ``prepare``'s.
+    """
+    enc = train_encoder(prep_santos, "starmie", epochs=2)
+    lake_emb = TableStore.from_embeddings_df(
+        infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
+    ).mats
+    tables = tiny_santos.tables()
+    assert set(lake_emb) == set(tables)
+    for tid, cols in tables.items():
+        cols = sorted(cols, key=lambda c: c["col_idx"])
+        pdf = pd.DataFrame({str(c["col_idx"]): c["cells"] for c in cols})
+        _, qvecs = embed_query_table(
+            MLTask(tid, pdf, "", ""), prep_santos.embedder, enc, prep_santos.idf
+        )
+        np.testing.assert_allclose(qvecs, lake_emb[tid], atol=1e-6, err_msg=tid)
 
 
 def test_summarize_ml():
