@@ -1,4 +1,4 @@
-"""Benchmark behind Table 10: similarity graph + Spark connected components."""
+"""Benchmark behind Table 10: similarity graph + connected components."""
 import numpy as np
 
 from repro.eval.clustering import connected_components, similarity_edges
@@ -20,11 +20,9 @@ def test_bench_similarity_edges(benchmark):
     assert len(edges) > 0
 
 
-def test_bench_connected_components(benchmark, spark):
+def test_bench_connected_components(benchmark):
     g = np.random.default_rng(1)
     n = 800
     edges = [tuple(sorted(g.choice(n, 2, replace=False).tolist())) for _ in range(1200)]
-    comp = benchmark.pedantic(
-        lambda: connected_components(spark, edges, n), rounds=2, iterations=1
-    )
+    comp = benchmark(connected_components, edges, n)
     assert len(comp) == n

@@ -5,11 +5,11 @@ from repro.experiments.session import get_spark
 from repro.experiments.tables import table10_clustering
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--scale", type=float, default=1.0)
+    ap = argparse.ArgumentParser(argument_default=argparse.SUPPRESS)
+    ap.add_argument("--scale", type=float)
     args = ap.parse_args()
     spark = get_spark("table10_clustering")
-    df = table10_clustering(spark, scale=args.scale)
+    df = table10_clustering(spark, **vars(args))
     print("\n=== Table 10 (lite): column clustering purity ===")
     print(df.to_string(index=False))
     spark.stop()

@@ -5,16 +5,13 @@ from repro.experiments.session import get_spark
 from repro.experiments.tables import table3_effectiveness
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--benchmarks", nargs="*", default=None)
-    ap.add_argument("--epochs", type=int, default=12)
+    ap = argparse.ArgumentParser(argument_default=argparse.SUPPRESS)
+    ap.add_argument("--scale", type=float)
+    ap.add_argument("--benchmarks", nargs="+")
+    ap.add_argument("--epochs", type=int)
     args = ap.parse_args()
     spark = get_spark("table3_effectiveness")
-    kw = {}
-    if args.benchmarks:
-        kw["benchmarks"] = tuple(args.benchmarks)
-    df = table3_effectiveness(spark, scale=args.scale, epochs=args.epochs, **kw)
+    df = table3_effectiveness(spark, **vars(args))
     print("\n=== Table 3 (lite): effectiveness ===")
     print(df.to_string(index=False))
     spark.stop()

@@ -5,12 +5,12 @@ from repro.experiments.session import get_spark
 from repro.experiments.tables import table4_negative_classes
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--classes", nargs="*", type=int, default=[2, 3, 4, 5, 6, 7, 8, 9])
-    ap.add_argument("--epochs", type=int, default=12)
+    ap = argparse.ArgumentParser(argument_default=argparse.SUPPRESS)
+    ap.add_argument("--classes", nargs="+", type=int)
+    ap.add_argument("--epochs", type=int)
     args = ap.parse_args()
     spark = get_spark("table4_negative_classes")
-    df = table4_negative_classes(spark, classes=tuple(args.classes), epochs=args.epochs)
+    df = table4_negative_classes(spark, **vars(args))
     print("\n=== Table 4 (lite): effect of #negative classes ===")
     print(df.to_string(index=False))
     spark.stop()

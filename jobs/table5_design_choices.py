@@ -5,16 +5,14 @@ from repro.experiments.session import get_spark
 from repro.experiments.tables import table5_design_choices
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--bench", default="santos_small_lite")
-    ap.add_argument("--k", type=int, default=10)
-    ap.add_argument("--epochs", type=int, default=12)
+    ap = argparse.ArgumentParser(argument_default=argparse.SUPPRESS)
+    ap.add_argument("--scale", type=float)
+    ap.add_argument("--bench")
+    ap.add_argument("--k", type=int)
+    ap.add_argument("--epochs", type=int)
     args = ap.parse_args()
     spark = get_spark("table5_design_choices")
-    df = table5_design_choices(
-        spark, scale=args.scale, bench=args.bench, k=args.k, epochs=args.epochs
-    )
+    df = table5_design_choices(spark, **vars(args))
     print("\n=== Tables 5 + 8 (lite): design choices ===")
     print(df.to_string(index=False))
     spark.stop()

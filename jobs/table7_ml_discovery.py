@@ -5,12 +5,12 @@ from repro.experiments.session import get_spark
 from repro.experiments.tables import table7_ml
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n-tasks", type=int, default=25)
-    ap.add_argument("--gbt-iter", type=int, default=12)
+    ap = argparse.ArgumentParser(argument_default=argparse.SUPPRESS)
+    ap.add_argument("--n-tasks", type=int)
+    ap.add_argument("--gbt-iter", type=int)
     args = ap.parse_args()
     spark = get_spark("table7_ml_discovery")
-    summary, detail = table7_ml(spark, n_tasks=args.n_tasks, gbt_iter=args.gbt_iter)
+    summary, detail = table7_ml(spark, **vars(args))
     print("\n=== Table 11 (lite): per-task MSE ===")
     cols = ["task", "n_rows", "NoJoin", "Jaccard", "Overlap", "Starmie"]
     print(detail[cols].to_string(index=False))

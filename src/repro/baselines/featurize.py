@@ -121,8 +121,18 @@ def emb_block(tokens: list[str], embedder: Embedder) -> np.ndarray:
 
 SPECS: dict[str, list[tuple[str, float]]] = {
     # (block, weight) lists; weights are squared-mass shares (Σ = 1).
+    # Sherlock (Hulsebos et al. [21]): its feature groups — statistics,
+    # character distribution, word embeddings — used directly as the column
+    # vector, since its labelled semantic-type training set is not available
+    # offline and the paper uses it as a representation, not a classifier.
     "sherlock": [("stats", 0.2), ("char", 0.2), ("emb", 0.6)],
+    # SATO (Zhang et al. [54]): Sherlock plus table context from an LDA topic
+    # model; the ``topic`` block stands in for it with a fixed (untrained)
+    # context signal, so SATO has context but no contrastive training.
     "sato": [("stats", 0.15), ("char", 0.15), ("emb", 0.4), ("topic", 0.3)],
+    # D3L (Bogatu et al. [2]): an ensemble of value-overlap, format,
+    # word-embedding and distribution features; the column-name feature is
+    # omitted, as in the paper, for fairness.
     "d3l": [("hashset", 0.3), ("format", 0.2), ("emb", 0.3), ("stats", 0.2)],
 }
 

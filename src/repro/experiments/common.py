@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines.d3l import d3l_embeddings
+from ..baselines.featurize import feature_embeddings
 from ..baselines.santos import SantosRanker
-from ..baselines.sato import sato_embeddings
-from ..baselines.sherlock import sherlock_embeddings
 from ..core.encoder import (
     Embedder,
     MultiColumnEncoder,
@@ -83,17 +81,14 @@ class MethodBundle:
     ranker: SantosRanker | None = None
 
 
-_BASELINE_EMBEDDINGS = {
-    "sherlock": sherlock_embeddings,
-    "sato": sato_embeddings,
-    "d3l": d3l_embeddings,
-}
-
-
 def train_encoder(
     prep: Prepared,
     method: str,
     *,
+    # The paper (§5.1.5) found drop_col best on SANTOS and drop_cell best on
+    # TUS with RoBERTa. With our Word2Vec + linear-contextual substitute,
+    # drop_col is best on both families (cell-level perturbations barely
+    # move mean-pooled base vectors), so every lake uses it (DESIGN.md §2).
     op: str = "drop_col",
     epochs: int = 10,
     lr: float = 5e-3,
@@ -122,7 +117,7 @@ def method_embeddings_df(
     if method in ("starmie", "singlecol"):
         enc = train_encoder(prep, method, op=op, epochs=epochs, lr=lr)
         return infer_embeddings(prep.prep_df, prep.embedder, enc)
-    return _BASELINE_EMBEDDINGS[method](prep.tokens_df, prep.embedder)
+    return feature_embeddings(prep.tokens_df, prep.embedder, method)
 
 
 def build_method(

@@ -1,20 +1,21 @@
 """Per-table experiment runners (one per evaluation table of the paper).
 
 Each runner returns a pandas DataFrame shaped like the paper's table and
-persists it under ``results/``. Jobs in ``jobs/`` are thin wrappers.
+persists it under ``results/``. Jobs in ``jobs/`` are thin wrappers that
+forward only the flags given on their command line, so each runner's
+signature is the one home of its defaults.
 """
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..datalake import io as lake_io
 from ..datalake.generator import build_benchmark, microbench_lake
-from ..eval.clustering import cluster_columns
+from ..eval.clustering import cluster_columns, collect_columns
 from ..eval.metrics import evaluate_rankings, ideal_recall
 from ..eval.ml_discovery import run_ml_discovery, summarize_ml
 from .common import build_method, method_embeddings_df, prepare, run_union_search
@@ -22,13 +23,6 @@ from .common import build_method, method_embeddings_df, prepare, run_union_searc
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
                                   Path(__file__).resolve().parents[3] / "results"))
 
-# Augmentation op per benchmark family. The paper (§5.1.5) found drop_col
-# best on SANTOS and drop_cell best on TUS with RoBERTa; with our
-# Word2Vec+linear-contextual substitute, drop_col is consistently best on
-# both families (cell-level perturbations are too weak for mean-pooled
-# base vectors), so we use it throughout — see DESIGN.md §2 and §5.
-BENCH_OP = {"santos": "drop_col", "tus": "drop_col", "wdc": "drop_col",
-            "microbench": "drop_col"}
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
 
 
@@ -36,11 +30,6 @@ def _save(df: pd.DataFrame, name: str) -> pd.DataFrame:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     df.to_csv(RESULTS_DIR / f"{name}.csv", index=False)
     return df
-
-
-def _op_for(bench: str) -> str:
-    return BENCH_OP["santos" if bench.startswith("santos") else
-                    "tus" if bench.startswith("tus") else "wdc"]
 
 
 def table2_stats(spark: SparkSession, *, scale: float = 1.0,
@@ -75,7 +64,6 @@ def table3_effectiveness(
         lake = build_benchmark(spark, b, scale)
         prep = prepare(spark, lake)
         k = min(BENCH_K.get(b, 10), max(5, len(lake.tables()) // 4))
-        op = _op_for(b)
         for m in methods:
             if m == "santos" and b == "tus_large_lite":
                 # the paper cannot evaluate SANTOS on TUS Large (no
@@ -83,7 +71,7 @@ def table3_effectiveness(
                 rows.append({"benchmark": b, "k": k, "method": m,
                              "map": None, "r": None, "p": None, "ideal_r": None})
                 continue
-            bundle = build_method(prep, m, op=op, epochs=epochs, lr=lr)
+            bundle = build_method(prep, m, epochs=epochs, lr=lr)
             run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
             rows.append({"benchmark": b, "k": k, "method": m,
@@ -107,7 +95,7 @@ def table4_negative_classes(
     for c in classes:
         lake = microbench_lake(spark, n_negative_classes=c, n_tables=n_tables)
         prep = prepare(spark, lake)
-        bundle = build_method(prep, "starmie", op=BENCH_OP["microbench"], epochs=epochs)
+        bundle = build_method(prep, "starmie", epochs=epochs)
         rec = {"n_negative_classes": c}
         for k_name, k in (("map_60", 60), ("map_120", 120)):
             run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
@@ -138,10 +126,9 @@ def table5_design_choices(
     """
     lake = build_benchmark(spark, bench, scale)
     prep = prepare(spark, lake)
-    op = _op_for(bench)
     rows = []
     for m in methods:
-        bundle = build_method(prep, m, op=op, epochs=epochs, lr=lr)
+        bundle = build_method(prep, m, epochs=epochs, lr=lr)
         for mode in modes:
             run = run_union_search(bundle, lake.queries, k=k, mode=mode)
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
@@ -177,7 +164,7 @@ def table6_memory(
     lake_io.save_lake(lake.df, "santos_large_mem")
     raw_bytes = lake_io.lake_raw_bytes(lake.df)
     prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", op="drop_col", epochs=epochs)
+    bundle = build_method(prep, "starmie", epochs=epochs)
     from ..search.engine import SearchEngine
 
     rows = []
@@ -230,27 +217,16 @@ def table10_clustering(
                        tables_per_domain=max(4, int(16 * scale)),
                        n_queries=4, seed=41)
     prep = prepare(spark, lake)
-    op = "drop_col"
+    thetas = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.99)
     rows = []
     for m in methods:
-        emb_df = method_embeddings_df(prep, m, op=op, epochs=epochs).cache()
-        best = None
-        # θ grid scouting with driver union-find; the winning θ is re-run
-        # through the distributed label-propagation CC.
-        for theta in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
-                      0.9, 0.93, 0.95, 0.97, 0.98, 0.99):
-            res = cluster_columns(spark, emb_df, theta=theta, use_spark=False)
-            if res.n_clusters == 0:
-                continue
-            gap = abs(res.avg_size - target_avg_size)
-            if best is None or gap < best[0]:
-                best = (gap, theta, res)
-        theta = best[1]
-        res = cluster_columns(spark, emb_df, theta=theta, use_spark=True)
+        vecs, labels = collect_columns(method_embeddings_df(prep, m, epochs=epochs))
+        grid = {t: cluster_columns(vecs, labels, theta=t) for t in thetas}
+        theta = min(grid, key=lambda t: abs(grid[t].avg_size - target_avg_size))
+        res = grid[theta]
         rows.append({"method": m, "theta": theta, "n_clusters": res.n_clusters,
                      "avg_cluster_size": round(res.avg_size, 2),
                      "purity_pct": round(100 * res.purity, 2)})
-        emb_df.unpersist()
     return _save(pd.DataFrame(rows), "table10_clustering")
 
 
@@ -266,7 +242,7 @@ def scalability_sweep(
     """Query-time scalability behind Fig. 10 (supports Table 5/8 narrative)."""
     lake = build_benchmark(spark, bench, scale)
     prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", op=_op_for(bench), epochs=epochs)
+    bundle = build_method(prep, "starmie", epochs=epochs)
     rows = []
     for mode in modes:
         for k in ks:

@@ -1,11 +1,13 @@
-"""Similarity graph + Spark connected components + purity (Table 10 machinery)."""
+"""Similarity graph + connected components + purity (Table 10 machinery)."""
+from collections import deque
+
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.eval.clustering import (
     cluster_columns,
+    collect_columns,
     connected_components,
     similarity_edges,
 )
@@ -15,51 +17,49 @@ def unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def union_find_reference(edges, n):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def bfs_reference(edges, n):
+    """Breadth-first search from each unvisited node in id order, so every
+    node is labelled by the smallest node id of its component."""
+    adj = [[] for _ in range(n)]
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return [find(i) for i in range(n)]
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    for s in range(n):
+        if label[s] != -1:
+            continue
+        label[s] = s
+        todo = deque([s])
+        while todo:
+            for v in adj[todo.popleft()]:
+                if label[v] == -1:
+                    label[v] = s
+                    todo.append(v)
+    return label
 
 
-def canonical(assign: dict[int, int], n: int) -> list[int]:
-    seen: dict[int, int] = {}
-    out = []
-    for i in range(n):
-        c = assign[i]
-        out.append(seen.setdefault(c, len(seen)))
-    return out
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(2, 14), st.integers(0, 1_000_000))
-def test_components_match_union_find(spark, n, seed):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 120), st.integers(0, 120), st.floats(0, 2), st.integers(0, 2**32 - 1))
+@example(n=60, chain_len=60, edge_ratio=0.0, seed=0)
+def test_components_match_bfs_reference(n, chain_len, edge_ratio, seed):
+    """Random graphs, each with a path through ``chain_len`` shuffled nodes
+    (up to 120, so chains far longer than 50 nodes are common), plus random
+    edges in either orientation, self-loops and duplicates included."""
     g = np.random.default_rng(seed)
-    m = int(g.integers(0, n * 2))
-    edges = [tuple(sorted(g.choice(n, 2, replace=False).tolist())) for _ in range(m)]
-    got = connected_components(spark, edges, n)
-    ref = union_find_reference(edges, n)
-    ref_assign = {i: ref[i] for i in range(n)}
-    assert canonical(got, n) == canonical(ref_assign, n)
+    order = g.permutation(n)[: min(chain_len, n)].tolist()
+    edges = list(zip(order, order[1:]))
+    edges += [tuple(e) for e in g.integers(0, n, size=(int(edge_ratio * n), 2)).tolist()]
+    edges = [edges[i] for i in g.permutation(len(edges))]
+    assert connected_components(edges, n) == bfs_reference(edges, n)
 
 
-def test_no_edges_all_singletons(spark):
-    got = connected_components(spark, [], 5)
-    assert sorted(got.values()) == [0, 1, 2, 3, 4]
+def test_no_edges_all_singletons():
+    assert connected_components([], 5) == [0, 1, 2, 3, 4]
 
 
-def test_chain_single_component(spark):
-    got = connected_components(spark, [(0, 1), (1, 2), (2, 3)], 4)
-    assert len(set(got.values())) == 1
+def test_chain_single_component():
+    edges = [(i, i + 1) for i in range(59)]
+    assert connected_components(edges, 60) == [0] * 60
 
 
 def test_similarity_edges_threshold():
@@ -85,11 +85,24 @@ def test_similarity_edges_blocked_equals_unblocked():
     )
 
 
-def test_cluster_columns_end_to_end(spark, prep_santos):
+def test_cluster_columns_counts_and_purity():
+    """Two tight groups of three columns; one column in each carries a
+    minority label, so purity is 4/6."""
+    a, b = np.eye(4, dtype=np.float32)[:2]
+    vecs = np.stack([a, a, a, b, b, b])
+    labels = ["x", "x", "y", "z", "z", "x"]
+    res = cluster_columns(vecs, labels, theta=0.9)
+    assert (res.n_clusters, res.avg_size) == (2, 3.0)
+    assert res.purity == 4 / 6
+    assert cluster_columns(vecs, labels, theta=1.5).n_clusters == 6
+
+
+def test_cluster_columns_end_to_end(prep_santos):
     from repro.experiments.common import method_embeddings_df
 
-    emb_df = method_embeddings_df(prep_santos, "sherlock")
-    res = cluster_columns(spark, emb_df, theta=0.95)
+    vecs, labels = collect_columns(method_embeddings_df(prep_santos, "sherlock"))
+    assert len(vecs) == len(labels) == len(prep_santos.lake.rows)
+    res = cluster_columns(vecs, labels, theta=0.95)
     assert res.n_clusters > 0
     assert 0.0 <= res.purity <= 1.0
     assert res.avg_size >= 1.0

@@ -1,4 +1,7 @@
 """Lake generators: schemas, ground truth, provenance, and oracle-checked stats."""
+import hashlib
+import json
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -101,6 +104,31 @@ def test_microbench_class_composition(spark, c):
         if d != query_dom:
             neg_counts[d] = neg_counts.get(d, 0) + 1
     assert max(neg_counts.values()) - min(neg_counts.values()) <= 1
+
+
+def _rows_sha256(lake) -> str:
+    h = hashlib.sha256()
+    for r in lake.rows:
+        h.update(json.dumps(
+            [r["table_id"], r["col_idx"], r["col_name"], r["sem_type"], list(r["cells"])]
+        ).encode())
+    return h.hexdigest()
+
+
+# sha256 over the (table_id, col_idx, col_name, sem_type, cells) rows of two
+# small TUS-style lakes. Both generators draw their partitions through one
+# routine, so a change to its draws or their order moves every TUS lake,
+# every Table 4 lake and every result built on them.
+TUS_ROWS_SHA256 = "d32c3d5764ec31603d8c64f7870d2bafaf987f97a381b9946a1d3688578ba801"
+MICROBENCH_ROWS_SHA256 = "0ca8a897ed68f0545560e2363c9f93372e9f11ac18a5a1b66ecd3032f6eea75f"
+
+
+def test_tus_style_lakes_pinned(spark):
+    tus = tus_lake(spark, name="pin_tus", n_bases=3, partitions_per_base=4,
+                   base_rows=120, part_rows_range=(10, 30), n_queries=3, seed=11)
+    mb = microbench_lake(spark, n_negative_classes=3, n_tables=24, n_queries=3)
+    assert _rows_sha256(tus) == TUS_ROWS_SHA256
+    assert _rows_sha256(mb) == MICROBENCH_ROWS_SHA256
 
 
 def test_build_benchmark_registry(spark):
