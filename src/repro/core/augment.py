@@ -40,6 +40,8 @@ class ColumnView:
     vecs: np.ndarray  # (n_units, d0) unit mean vectors
     is_numeric: bool
     empty_frac: float
+    sem_type: str | None = None  # ground-truth labels, carried for evaluation only
+    domain: str | None = None
 
 
 @dataclass

@@ -33,30 +33,38 @@ def nt_xent_loss(z: np.ndarray, pairs: list[tuple[int, int]], tau: float = TAU_D
 def _loss_grad_z(
     z: np.ndarray, pairs: list[tuple[int, int]], tau: float, want_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
+    """Eq. 3 and its gradient w.r.t. ``z``, all anchors at once.
+
+    Every ordered pair (i, j) of ``pairs`` — (a, b) then (b, a) — is one
+    anchor row of a masked log-sum-exp. The arithmetic is the per-anchor
+    loop's, operation for operation: the loss adds the anchors' terms in
+    order, and an anchor that recurs adds to its gradient row in order.
+    """
     n = z.shape[0]
-    if not pairs:
+    if not len(pairs):
         return 0.0, (np.zeros_like(z) if want_grad else None)
+    p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    i, j = p.ravel(), p[:, ::-1].ravel()
+    k = np.arange(len(i))
     s = (z @ z.T) / tau
-    g = np.zeros((n, n)) if want_grad else None
-    total = 0.0
     # ℓ(i,j) = -s_ij + log Σ_{k∉{i,j}} exp(s_ik)
-    for a, b in pairs:
-        for i, j in ((a, b), (b, a)):
-            row = s[i].copy()
-            row[i] = -np.inf
-            row[j] = -np.inf
-            m = row.max()
-            e = np.exp(row - m)
-            sum_e = e.sum()
-            total += -s[i, j] + (m + np.log(sum_e))
-            if want_grad:
-                p = e / sum_e
-                g[i] += p
-                g[i, j] -= 1.0
-    scale = 1.0 / (2 * len(pairs))
-    loss = scale * total
+    rows = s[i]
+    rows[k, i] = -np.inf
+    rows[k, j] = -np.inf
+    m = rows.max(axis=1)
+    e = np.exp(rows - m[:, None])
+    sum_e = e.sum(axis=1)
+    terms = -s[i, j] + (m + np.log(sum_e))
+    scale = 1.0 / (2 * len(p))
+    loss = scale * np.add.accumulate(terms)[-1]
     if not want_grad:
         return loss, None
+    # G[i] += p_i, then G[i, j] -= 1. p_i is exactly 0 at j, so folding
+    # the -1 into p_i first rounds the same.
+    prob = e / sum_e[:, None]
+    prob[k, j] -= 1.0
+    g = np.zeros((n, n))
+    np.add.at(g, i, prob)
     # dL/dz_a = scale/τ · Σ_b (G[a,b] + G[b,a]) z_b
     dz = scale / tau * ((g + g.T) @ z)
     return loss, dz

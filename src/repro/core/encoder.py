@@ -15,18 +15,21 @@ same table — the contextualization path. Ablating ``W2`` yields exactly
 the paper's SingleCol baseline, so the Starmie-vs-SingleCol comparison
 measures precisely what the paper measures: the value of table context.
 
-Inference is a Spark pass (``infer_embeddings``): ``applyInPandas``
-grouped by table with the broadcast ``Embedder`` and trained encoder,
-running the same ``table_view`` → ``encode_view`` path as training.
+The lake is collected to the driver once per build
+(``collect_table_views``), and both stages read those views. Training
+pools every column's base vector once and re-pools only the columns a
+cell- or token-level op rewrote; inference (``infer_embeddings``) runs
+``encode_view`` on each collected table on the driver, the same
+``table_view`` → ``encode_view`` path as training.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.ml.feature import Word2Vec
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -89,30 +92,34 @@ def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
     """One table as a ``TableView``, the encoder's input in training and inference.
 
     ``cols`` yields ``(col_idx, units, numeric_frac, empty_frac)`` per
-    column, in column order.
+    column, in column order, optionally followed by the column's
+    ``(sem_type, domain)`` labels. ``units`` (a list of token lists) is
+    kept as given, not copied.
     """
     views = []
-    for col_idx, units, numeric_frac, empty_frac in cols:
-        units = [list(u) for u in units]
+    for col_idx, units, numeric_frac, empty_frac, *labels in cols:
         views.append(ColumnView(
-            col_id=int(col_idx),
-            units=units,
-            vecs=embedder.unit_vecs(units),
-            is_numeric=numeric_frac > 0.5,
-            empty_frac=float(empty_frac),
+            int(col_idx),
+            units,
+            embedder.unit_vecs(units),
+            numeric_frac > 0.5,
+            float(empty_frac),
+            *labels,
         ))
     return TableView(table_id=table_id, cols=views)
 
 
-_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac")
+_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac", "sem_type", "domain")
 
 
 def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, TableView]:
-    """Collect the preprocessed lake to driver-side TableViews for training.
+    """Collect the preprocessed lake to driver-side TableViews, once per build.
 
-    Lite lakes hold ≤ a few hundred thousand selected tokens, so this is
-    small; the encoder's two 64×64 matrices make a distributed optimizer
-    pure overhead (see DESIGN.md §3).
+    Training and inference both read these views, and each column keeps
+    its ``sem_type``/``domain`` labels for the embedding rows. Lite lakes
+    hold ≤ a few hundred thousand selected tokens, so this is small; the
+    encoder's two 64×64 matrices make a distributed optimizer pure
+    overhead (see DESIGN.md §3).
     """
     rows = prep_df.select("table_id", *_VIEW_COLS).collect()
     grouped: dict[str, list] = {}
@@ -125,10 +132,10 @@ def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, Tab
     return out
 
 
-def base_vectors(view: TableView, dim: int) -> np.ndarray:
+def base_vectors(cols: list[ColumnView], dim: int) -> np.ndarray:
     """Per-column base vector: mean of the column's unit vectors."""
-    b = np.zeros((len(view.cols), dim), dtype=np.float64)
-    for i, c in enumerate(view.cols):
+    b = np.zeros((len(cols), dim), dtype=np.float64)
+    for i, c in enumerate(cols):
         if len(c.vecs):
             b[i] = c.vecs.mean(axis=0)
     return b
@@ -141,6 +148,52 @@ def context_vectors(b: np.ndarray) -> np.ndarray:
         return np.zeros_like(b)
     total = b.sum(axis=0, keepdims=True)
     return (total - b) / (m - 1)
+
+
+class _PooledLake:
+    """The base vector of every lake column, pooled once per ``train``.
+
+    The original views never change, and column-level ops only select or
+    reorder their columns, so a batch gathers its base vectors from here;
+    only a column that a cell- or token-level op rewrote (a new
+    ``ColumnView`` object) is pooled again.
+    """
+
+    def __init__(self, tables: dict[str, TableView], dim: int):
+        cols = [c for v in tables.values() for c in v.cols]
+        # Keyed by object identity: ``tables`` keeps every lake column alive
+        # for the whole ``train``, so no other object can share its id.
+        self.row = {id(c): r for r, c in enumerate(cols)}
+        self.base = base_vectors(cols, dim)
+        self.dim = dim
+
+    def features(self, views: list[TableView]) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked base and context vectors of ``views``, one block per view.
+
+        Equal, bit for bit, to ``base_vectors`` and ``context_vectors``
+        per view: each view's context sums its rows in the same order.
+        """
+        idx, fresh, sizes = [], [], []
+        for v in views:
+            for c in v.cols:
+                r = self.row.get(id(c))
+                if r is None:
+                    fresh.append((len(idx), c))
+                    r = 0  # a placeholder row, overwritten below
+                idx.append(r)
+            sizes.append(len(v.cols))
+        b = self.base[idx]
+        if fresh:
+            pos, cols = zip(*fresh)
+            b[list(pos)] = base_vectors(list(cols), self.dim)
+        sizes = np.asarray(sizes)
+        starts = np.cumsum(sizes) - sizes
+        totals = np.repeat(np.add.reduceat(b, starts, axis=0), sizes, axis=0)
+        m = np.repeat(sizes, sizes)
+        c = np.zeros_like(b)
+        multi = m > 1
+        c[multi] = (totals[multi] - b[multi]) / (m[multi] - 1)[:, None]
+        return b, c
 
 
 @dataclass
@@ -159,16 +212,12 @@ class MultiColumnEncoder:
         self.W2 = g.normal(0, 0.01 * scale, (d_out, d_in))
 
     # -- forward ----------------------------------------------------------
-    def _features(self, view: TableView) -> tuple[np.ndarray, np.ndarray]:
-        b = base_vectors(view, self.d_in)
-        return b, context_vectors(b)
-
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return b @ self.W1.T + c @ self.W2.T
 
     def encode_view(self, view: TableView) -> np.ndarray:
-        b, c = self._features(view)
-        return normalize_rows(self.forward(b, c))
+        b = base_vectors(view.cols, self.d_in)
+        return normalize_rows(self.forward(b, context_vectors(b)))
 
     # -- training (Algorithm 1, multi-column variant of §3.3) -------------
     def train(
@@ -185,33 +234,32 @@ class MultiColumnEncoder:
     ) -> TrainStats:
         rng = np.random.default_rng(seed)
         opt = Adam([self.W1, self.W2], lr=lr)
+        lake = _PooledLake(tables, self.d_in)
         tids = sorted(tables)
         losses: list[float] = []
         for _ in range(n_epochs):
             order = rng.permutation(len(tids))
             for s in range(0, len(tids), batch_tables):
                 batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
-                loss = self._step(batch, op, rng, opt, tau, embedder)
+                loss = self._step(lake, batch, op, rng, opt, tau, embedder)
                 losses.append(loss)
         return TrainStats(losses=losses)
 
-    def _step(self, batch, op, rng, opt, tau, embedder) -> float:
-        views: list[tuple[TableView, TableView]] = []
-        for v in batch:
-            views.append((v, apply_op(v, op, rng, embedder=embedder)))
-        b_blocks, c_blocks, pairs = [], [], []
+    def _items(self, batch: list[TableView], op: str) -> tuple[list[TableView], str]:
+        """The batch's training items and the op that augments them."""
+        return batch, op
+
+    def _step(self, lake, batch, op, rng, opt, tau, embedder) -> float:
+        items, op = self._items(batch, op)
+        views: list[TableView] = []
+        pairs: list[tuple[int, int]] = []
         offset = 0
-        for ori, aug in views:
-            bo, co = self._features(ori)
-            ba, ca = self._features(aug)
-            pairs.extend(
-                aligned_pairs(ori, aug, offset, offset + len(ori.cols))
-            )
-            b_blocks.extend([bo, ba])
-            c_blocks.extend([co, ca])
+        for ori in items:
+            aug = apply_op(ori, op, rng, embedder=embedder)
+            pairs.extend(aligned_pairs(ori, aug, offset, offset + len(ori.cols)))
+            views.extend([ori, aug])
             offset += len(ori.cols) + len(aug.cols)
-        b = np.vstack(b_blocks)
-        c = np.vstack(c_blocks)
+        b, c = lake.features(views)
         u = self.forward(b, c)
         loss, du = loss_and_grad(u, pairs, tau)
         opt.step([du.T @ b, du.T @ c])
@@ -228,7 +276,7 @@ class SingleColEncoder(MultiColumnEncoder):
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return b @ self.W1.T
 
-    def _step(self, batch, op, rng, opt, tau, embedder) -> float:
+    def _items(self, batch: list[TableView], op: str) -> tuple[list[TableView], str]:
         # Single-column training (§3.2): each column is an independent
         # item; augmentation transforms columns one at a time, so
         # column-level ops degrade to cell-level ones.
@@ -237,8 +285,7 @@ class SingleColEncoder(MultiColumnEncoder):
                               "shuffle_row") else "sample_row"
         # A one-column view has a zero context vector, so W2 gets a zero
         # gradient and stays zero.
-        singles = [TableView(v.table_id, [c]) for v in batch for c in v.cols]
-        return super()._step(singles, col_op, rng, opt, tau, embedder)
+        return [TableView(v.table_id, [c]) for v in batch for c in v.cols], col_op
 
 
 EMB_SCHEMA = T.StructType(
@@ -253,35 +300,25 @@ EMB_SCHEMA = T.StructType(
 
 
 def infer_embeddings(
-    prep_df: DataFrame, embedder: Embedder, encoder: MultiColumnEncoder
+    spark: SparkSession, views: dict[str, TableView], encoder: MultiColumnEncoder
 ) -> DataFrame:
     """Lake-wide model inference: one contextualized embedding per column.
 
-    Runs as ``applyInPandas`` grouped by table with the token vectors and
-    the trained encoder broadcast — the offline embedding pass of Fig. 2.
-    Each table goes through ``table_view`` and ``encoder.encode_view``,
-    the same featurization and forward pass training uses.
+    The offline embedding pass of Fig. 2, on the driver: every collected
+    table goes through ``encoder.encode_view``, the featurization and
+    forward pass training uses. ``views`` is emptied as the tables are
+    encoded: each table's view is released once its rows exist, so the
+    driver's peak memory stays that of the collected lake. Returns an
+    EMB_SCHEMA DataFrame built from plain row tuples in table order, each
+    vector a float32 ``array`` (a list of Python floats takes over 6× the
+    memory).
     """
-    sc = prep_df.sparkSession.sparkContext
-    emb_b = sc.broadcast(embedder)
-    enc_b = sc.broadcast(encoder)
-
-    def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("col_idx")
-        view = table_view(
-            pdf["table_id"].iloc[0],
-            zip(*(pdf[c] for c in _VIEW_COLS)),
-            emb_b.value,
+    rows = []
+    for tid in sorted(views):
+        view = views.pop(tid)
+        z = encoder.encode_view(view).astype(np.float32)
+        rows.extend(
+            (tid, c.col_id, c.sem_type, c.domain, array("f", vec.tobytes()))
+            for c, vec in zip(view.cols, z)
         )
-        z = enc_b.value.encode_view(view)
-        return pd.DataFrame(
-            {
-                "table_id": pdf["table_id"].values,
-                "col_idx": pdf["col_idx"].values,
-                "sem_type": pdf["sem_type"].values,
-                "domain": pdf["domain"].values,
-                "emb": [r.astype(np.float32).tolist() for r in z],
-            }
-        )
-
-    return prep_df.groupBy("table_id").applyInPandas(_per_table, schema=EMB_SCHEMA)
+    return spark.createDataFrame(rows, EMB_SCHEMA)

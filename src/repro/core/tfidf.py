@@ -10,7 +10,7 @@ average) of their tokens' scores; row scores sum the cell scores
 
 The document-frequency pass is a DataFrame aggregation so it scales with
 the lake; the resulting (token → idf) map is small (vocabulary-sized)
-and is broadcast to the preprocessing and encoding passes.
+and is broadcast to the preprocessing pass.
 """
 from __future__ import annotations
 

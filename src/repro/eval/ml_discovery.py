@@ -30,7 +30,7 @@ from pyspark.ml.regression import GBTRegressor
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.encoder import Embedder, MultiColumnEncoder, infer_embeddings, table_view
+from ..core.encoder import Embedder, MultiColumnEncoder, table_view
 from ..core.preprocess import preprocess_table
 from ..core.tokenize import tokenize_cell
 from ..datalake.generator import Lake, _domain_columns, _to_lake
@@ -344,14 +344,12 @@ def run_ml_discovery(
     gbt_iter: int = 12,
 ) -> pd.DataFrame:
     """Full Table 7/11 harness. Returns per-task MSE per method."""
-    from ..experiments.common import prepare, train_encoder
+    from ..experiments.common import encode_lake, prepare
 
     tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
     prep = prepare(spark, lake)
-    enc = train_encoder(prep, "starmie", epochs=epochs)
-    lake_emb = TableStore.from_embeddings_df(
-        infer_embeddings(prep.prep_df, prep.embedder, enc)
-    ).mats
+    enc, emb_df = encode_lake(prep, "starmie", epochs=epochs)
+    lake_emb = TableStore.from_embeddings_df(emb_df).mats
     token_sets = _lake_token_sets(lake)
 
     records = []

@@ -2,8 +2,9 @@
 
 Offline stage (Fig. 2): generate/persist lake → tokenize (Spark) →
 TF-IDF (Spark) → preprocess (Spark) → Word2Vec pre-training (MLlib) →
-contrastive training (driver, Alg. 1) → model inference (Spark) →
-vector store / index. Online stage: Algorithm 3 via ``SearchEngine``.
+contrastive training (driver, Alg. 1) → model inference (driver, on the
+views training collected) → vector store / index. Online stage:
+Algorithm 3 via ``SearchEngine``.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..baselines.featurize import feature_embeddings
 from ..baselines.santos import SantosRanker
+from ..core.augment import TableView
 from ..core.encoder import (
     Embedder,
     MultiColumnEncoder,
@@ -84,6 +86,7 @@ class MethodBundle:
 def train_encoder(
     prep: Prepared,
     method: str,
+    views: dict[str, TableView],
     *,
     # The paper (§5.1.5) found drop_col best on SANTOS and drop_cell best on
     # TUS with RoBERTa. With our Word2Vec + linear-contextual substitute,
@@ -93,46 +96,42 @@ def train_encoder(
     epochs: int = 10,
     lr: float = 5e-3,
 ) -> MultiColumnEncoder:
-    """Contrastively train Starmie's (or SingleCol's) column encoder (Alg. 1)."""
-    views = collect_table_views(prep.prep_df, prep.embedder)
+    """Contrastively train Starmie's (or SingleCol's) column encoder (Alg. 1)
+    on the collected lake ``views``. The one home of the training defaults."""
     cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
     enc = cls(d_in=prep.embedder.dim)
     enc.train(views, op=op, n_epochs=epochs, lr=lr, embedder=prep.embedder)
     return enc
 
 
-def method_embeddings_df(
-    prep: Prepared,
-    method: str,
-    *,
-    op: str = "drop_col",
-    epochs: int = 10,
-    lr: float = 5e-3,
-) -> DataFrame:
+def encode_lake(prep: Prepared, method: str, **train_kw) -> tuple[MultiColumnEncoder, DataFrame]:
+    """Collect the lake once, train a learned encoder on it and encode every
+    table with it: the encoder and its EMB_SCHEMA DataFrame.
+
+    ``train_kw`` (``op``, ``epochs``, ``lr``) go to ``train_encoder``.
+    """
+    views = collect_table_views(prep.prep_df, prep.embedder)
+    enc = train_encoder(prep, method, views, **train_kw)
+    return enc, infer_embeddings(prep.spark, views, enc)
+
+
+def method_embeddings_df(prep: Prepared, method: str, **train_kw) -> DataFrame:
     """The column-embedding DataFrame of a vector method (EMB_SCHEMA).
 
     The training keywords apply to the learned encoders (``starmie``,
     ``singlecol``); the feature baselines have nothing to train.
     """
     if method in ("starmie", "singlecol"):
-        enc = train_encoder(prep, method, op=op, epochs=epochs, lr=lr)
-        return infer_embeddings(prep.prep_df, prep.embedder, enc)
+        return encode_lake(prep, method, **train_kw)[1]
     return feature_embeddings(prep.tokens_df, prep.embedder, method)
 
 
-def build_method(
-    prep: Prepared,
-    method: str,
-    *,
-    op: str = "drop_col",
-    epochs: int = 10,
-    lr: float = 5e-3,
-) -> MethodBundle:
+def build_method(prep: Prepared, method: str, **train_kw) -> MethodBundle:
     """Train/featurize one method on a prepared lake and load its vector store."""
     tau = DEFAULT_TAU.get(method, 0.6)
     if method == "santos":
         return MethodBundle(name=method, tau=tau, ranker=SantosRanker(prep.lake.tables()))
-    emb_df = method_embeddings_df(prep, method, op=op, epochs=epochs, lr=lr)
+    emb_df = method_embeddings_df(prep, method, **train_kw)
     return MethodBundle(name=method, tau=tau, store=TableStore.from_embeddings_df(emb_df))
 
 

@@ -217,7 +217,11 @@ def table10_clustering(
                        tables_per_domain=max(4, int(16 * scale)),
                        n_queries=4, seed=41)
     prep = prepare(spark, lake)
-    thetas = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.99)
+    # Sherlock's feature vectors keep many columns above 0.99, so the grid
+    # continues past it in finer steps until every method's pick lies
+    # inside the grid rather than at its edge.
+    thetas = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.99,
+              0.991, 0.992, 0.993)
     rows = []
     for m in methods:
         vecs, labels = collect_columns(method_embeddings_df(prep, m, epochs=epochs))

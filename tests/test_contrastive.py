@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.contrastive import Adam, loss_and_grad, normalize_rows, nt_xent_loss
+from repro.core.contrastive import (
+    Adam,
+    _loss_grad_z,
+    loss_and_grad,
+    normalize_rows,
+    nt_xent_loss,
+)
+
+from . import _reference as ref
 
 
 def numerical_grad(u, pairs, tau=0.07, eps=1e-6):
@@ -116,3 +124,43 @@ def test_loss_symmetric_in_pair_order():
     g = np.random.default_rng(7)
     z = normalize_rows(g.normal(size=(6, 4)))
     assert nt_xent_loss(z, [(0, 3)]) == pytest.approx(nt_xent_loss(z, [(3, 0)]))
+
+
+@st.composite
+def _batches(draw):
+    """Embeddings with zero rows and repeated columns, plus aligned pairs
+    (from one pair up), some drawn with repeated indices."""
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = g.normal(size=(n, dim))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        u[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        u[i] = u[j]
+    if draw(st.booleans()):
+        perm = g.permutation(n)
+        npairs = draw(st.integers(1, n // 2))
+        pairs = [(int(perm[2 * q]), int(perm[2 * q + 1])) for q in range(npairs)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=8))
+    return u, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches(), st.sampled_from([0.07, 0.5]))
+def test_vectorized_loss_equals_per_anchor_reference(batch, tau):
+    """The all-anchors NT-Xent is the per-anchor loop, bit for bit."""
+    u, pairs = batch
+    z = normalize_rows(u)
+    with np.errstate(all="ignore"):  # a lone pair of two rows has no negatives
+        loss, dz = _loss_grad_z(z, pairs, tau)
+        ref_loss, ref_dz = ref.loss_grad_z(z, pairs, tau)
+        loss_u, du = loss_and_grad(u, pairs, tau)
+        ref_loss_u, ref_du = ref.loss_and_grad(u, pairs, tau)
+    assert np.array_equal(loss, ref_loss, equal_nan=True)
+    assert np.array_equal(dz, ref_dz, equal_nan=True)
+    assert np.array_equal(loss_u, ref_loss_u, equal_nan=True)
+    assert np.array_equal(du, ref_du, equal_nan=True)

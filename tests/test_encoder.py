@@ -1,8 +1,8 @@
-"""Column encoders: Word2Vec pretraining, contrastive training, Spark inference."""
+"""Column encoders: Word2Vec pretraining, contrastive training, driver-side inference."""
 import numpy as np
 import pytest
 
-from repro.core.augment import TableView
+from repro.core.augment import OPS, TableView
 from repro.core.encoder import (
     MultiColumnEncoder,
     SingleColEncoder,
@@ -11,6 +11,9 @@ from repro.core.encoder import (
     context_vectors,
     infer_embeddings,
 )
+from repro.search.engine import TableStore
+
+from . import _reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +63,7 @@ def test_collect_table_views_complete(views, tiny_santos):
 
 def test_base_vectors_mean_of_units(views):
     v = next(iter(views.values()))
-    b = base_vectors(v, 64)
+    b = base_vectors(v.cols, 64)
     for i, c in enumerate(v.cols):
         if len(c.vecs):
             assert np.allclose(b[i], c.vecs.mean(axis=0), atol=1e-6)
@@ -119,28 +122,50 @@ def test_multicolumn_uses_context(views, prep_santos):
     assert not np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
 
 
+@pytest.mark.parametrize("op", OPS)
 @pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
-def test_infer_matches_driver_encoding(prep_santos, views, cls):
-    """Spark inference must agree with driver-side encode_view on every table."""
+def test_training_equals_repooling_reference(views, prep_santos, cls, op):
+    """Pooling base vectors once and the vectorized NT-Xent are lossless:
+    W1, W2 and every loss are byte-equal to a loop that re-pools both
+    views at every step and computes the loss one anchor at a time."""
+    enc, expect = cls(d_in=64, seed=1), cls(d_in=64, seed=1)
+    kw = dict(op=op, n_epochs=2, lr=5e-3, embedder=prep_santos.embedder, seed=2)
+    losses = enc.train(views, **kw).losses
+    ref_losses = ref.train(expect, views, **kw)
+    assert np.array_equal(enc.W1, expect.W1)
+    assert np.array_equal(enc.W2, expect.W2)
+    assert np.array_equal(losses, ref_losses)
+
+
+def _infer(prep, views, enc):
+    """The lake's EMB_SCHEMA DataFrame (``infer_embeddings`` empties its views)."""
+    return infer_embeddings(prep.spark, dict(views), enc)
+
+
+@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
+def test_stored_vectors_equal_encode_view(prep_santos, views, cls):
+    """Every table's stored vectors are its ``encode_view`` in float32, exactly."""
     enc = cls(d_in=64, seed=3)
-    emb_df = infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
-    rows = emb_df.collect()
-    by_table: dict[str, dict[int, np.ndarray]] = {}
-    for r in rows:
-        by_table.setdefault(r["table_id"], {})[r["col_idx"]] = np.asarray(r["emb"])
-    assert set(by_table) == set(views)
+    enc.train(views, n_epochs=1, embedder=prep_santos.embedder, seed=0)
+    store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
+    assert store.table_ids == sorted(views)
     for tid, view in views.items():
-        z = enc.encode_view(view)
-        for i, c in enumerate(view.cols):
-            got = by_table[tid][c.col_id]
-            assert np.allclose(got, z[i], atol=1e-6), tid
+        assert np.array_equal(store.mats[tid], enc.encode_view(view).astype(np.float32)), tid
 
 
-def test_infer_schema_carries_ground_truth(prep_santos):
+def test_infer_empties_views(prep_santos, views):
+    lake = dict(views)
+    infer_embeddings(prep_santos.spark, lake, SingleColEncoder(d_in=64, seed=0))
+    assert lake == {}
+
+
+def test_infer_schema_carries_ground_truth(prep_santos, views):
     enc = SingleColEncoder(d_in=64, seed=0)
-    emb_df = infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
+    emb_df = _infer(prep_santos, views, enc)
     assert {"table_id", "col_idx", "sem_type", "domain", "emb"} <= set(emb_df.columns)
-    assert emb_df.count() == prep_santos.prep_df.count()
+    labels = ["table_id", "col_idx", "sem_type", "domain"]
+    got = sorted(tuple(r) for r in emb_df.select(*labels).collect())
+    assert got == sorted(tuple(r) for r in prep_santos.prep_df.select(*labels).collect())
 
 
 def test_trained_encoder_separates_ambiguous_columns(prep_santos, views):
@@ -148,7 +173,7 @@ def test_trained_encoder_separates_ambiguous_columns(prep_santos, views):
     different domains; training must not collapse them together."""
     enc = MultiColumnEncoder(d_in=64, seed=0)
     enc.train(views, op="drop_col", n_epochs=8, embedder=prep_santos.embedder, seed=0)
-    emb_df = infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
+    emb_df = _infer(prep_santos, views, enc)
     rows = emb_df.where("sem_type = 'year'").collect()
     by_dom: dict[str, list[np.ndarray]] = {}
     for r in rows:

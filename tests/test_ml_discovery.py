@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.encoder import infer_embeddings
 from repro.eval.ml_discovery import (
     MLTask,
     _lake_token_sets,
@@ -15,7 +14,7 @@ from repro.eval.ml_discovery import (
     summarize_ml,
     train_eval_gbt,
 )
-from repro.experiments.common import train_encoder
+from repro.experiments.common import encode_lake
 from repro.search.engine import TableStore
 from repro.oracle import assert_equivalent
 
@@ -128,10 +127,8 @@ def test_query_featurization_matches_lake(tiny_santos, prep_santos):
 
     Fails if the query path's preprocessing drifts from ``prepare``'s.
     """
-    enc = train_encoder(prep_santos, "starmie", epochs=2)
-    lake_emb = TableStore.from_embeddings_df(
-        infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
-    ).mats
+    enc, emb_df = encode_lake(prep_santos, "starmie", epochs=2)
+    lake_emb = TableStore.from_embeddings_df(emb_df).mats
     tables = tiny_santos.tables()
     assert set(lake_emb) == set(tables)
     for tid, cols in tables.items():
