@@ -242,14 +242,17 @@ class MultiColumnEncoder:
             for s in range(0, len(tids), batch_tables):
                 batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
                 loss = self._step(lake, batch, op, rng, opt, tau, embedder)
-                losses.append(loss)
+                if loss is not None:
+                    losses.append(loss)
         return TrainStats(losses=losses)
 
     def _items(self, batch: list[TableView], op: str) -> tuple[list[TableView], str]:
         """The batch's training items and the op that augments them."""
         return batch, op
 
-    def _step(self, lake, batch, op, rng, opt, tau, embedder) -> float:
+    def _step(self, lake, batch, op, rng, opt, tau, embedder) -> float | None:
+        """One Adam step on ``batch``, or ``None`` and no step for a batch of
+        fewer than three rows, whose Eq. 1 denominators are empty (NaN loss)."""
         items, op = self._items(batch, op)
         views: list[TableView] = []
         pairs: list[tuple[int, int]] = []
@@ -259,6 +262,8 @@ class MultiColumnEncoder:
             pairs.extend(aligned_pairs(ori, aug, offset, offset + len(ori.cols)))
             views.extend([ori, aug])
             offset += len(ori.cols) + len(aug.cols)
+        if offset < 3:
+            return None
         b, c = lake.features(views)
         u = self.forward(b, c)
         loss, du = loss_and_grad(u, pairs, tau)

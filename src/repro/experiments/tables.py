@@ -1,9 +1,10 @@
 """Per-table experiment runners (one per evaluation table of the paper).
 
-Each runner returns a pandas DataFrame shaped like the paper's table and
-persists it under ``results/``. Jobs in ``jobs/`` are thin wrappers that
-forward only the flags given on their command line, so each runner's
-signature is the one home of its defaults.
+Each runner returns a pandas DataFrame shaped like the paper's table
+(``table7_ml`` returns the Table 7 summary and the Table 11 detail) and
+persists it under ``results/``. ``jobs/run.py RUNNER [flags]`` runs one of
+them by name and forwards only the flags given on its command line, so
+each runner's signature is the one home of its defaults.
 """
 from __future__ import annotations
 

@@ -99,7 +99,6 @@ class SearchEngine:
     mode: str = "linear"
     tau: float = 0.6
     n_neighbors: int = 24
-    seed: int = 0
     _index: object = field(init=False, default=None, repr=False)
     _owners: list[str] = field(init=False, default_factory=list, repr=False)
 
@@ -109,10 +108,10 @@ class SearchEngine:
             vecs, owners = self.store.flat()
             self._owners = owners
             if self.mode == "lsh":
-                idx = SimHashLSH(self.store.dim, seed=self.seed)
+                idx = SimHashLSH(self.store.dim)
                 idx.add(np.arange(len(owners)), vecs)
             else:
-                idx = HNSW(self.store.dim, seed=self.seed)
+                idx = HNSW(self.store.dim)
                 idx.add_batch(vecs)
             self._index = idx
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.augment import OPS, TableView
+from repro.core.augment import OPS, ColumnView, TableView
 from repro.core.encoder import (
     MultiColumnEncoder,
     SingleColEncoder,
@@ -135,6 +135,24 @@ def test_training_equals_repooling_reference(views, prep_santos, cls, op):
     assert np.array_equal(enc.W1, expect.W1)
     assert np.array_equal(enc.W2, expect.W2)
     assert np.array_equal(losses, ref_losses)
+
+
+@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
+def test_training_stays_finite_without_negatives(cls):
+    """Eight three-column tables and one one-column table: an epoch whose order
+    ends on the one-column table has a batch of one positive pair and no
+    negatives, which must make no step rather than turn W1/W2 into NaN."""
+    g = np.random.default_rng(0)
+    cols = [ColumnView(i % 3, [["tok"]] * 5, g.normal(size=(5, 64)).astype(np.float32),
+                       False, 0.0) for i in range(25)]
+    lake = {f"t{t}": TableView(f"t{t}", cols[3 * t : 3 * t + 3]) for t in range(8)}
+    lake["t8"] = TableView("t8", cols[24:])
+    enc = cls(d_in=64, seed=0)
+    losses = enc.train(lake, n_epochs=40, seed=0).losses
+    assert len(losses) < 40 * 2  # some epoch ended on the one-column table
+    assert np.isfinite(losses).all()
+    assert np.isfinite(enc.W1).all() and np.isfinite(enc.W2).all()
+    assert all(np.isfinite(enc.encode_view(v)).all() for v in lake.values())
 
 
 def _infer(prep, views, enc):

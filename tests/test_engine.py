@@ -116,7 +116,7 @@ def test_pruning_reduces_verifications(store):
 
 @pytest.mark.parametrize("mode", ["lsh", "hnsw"])
 def test_index_modes_find_group_members(store, mode):
-    eng = SearchEngine(store=store, mode=mode, tau=0.6, seed=0)
+    eng = SearchEngine(store=store, mode=mode, tau=0.6)
     res, stats = eng.query("tab000_g0", k=6)
     assert stats.n_candidates < len(store.table_ids)
     got = [t for t, _ in res]
@@ -127,7 +127,7 @@ def test_index_modes_find_group_members(store, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_query_by_matrix(store, mode):
-    eng = SearchEngine(store=store, mode=mode, tau=0.6, seed=0)
+    eng = SearchEngine(store=store, mode=mode, tau=0.6)
     q = store.mats["tab001_g1"]
     res, _ = eng.query(q, k=4)
     assert len(res) <= 4
@@ -155,8 +155,8 @@ def test_exclude_self(store):
 
 def test_memory_accounting(store):
     base = SearchEngine(store=store, mode="linear").memory_bytes()
-    lsh = SearchEngine(store=store, mode="lsh", seed=0).memory_bytes()
-    hnsw = SearchEngine(store=store, mode="hnsw", seed=0).memory_bytes()
+    lsh = SearchEngine(store=store, mode="lsh").memory_bytes()
+    hnsw = SearchEngine(store=store, mode="hnsw").memory_bytes()
     assert base == store.memory_bytes()
     assert lsh > base and hnsw > base
 
@@ -173,6 +173,6 @@ def test_invalid_mode_rejected(store):
 
 
 def test_hnsw_much_fewer_candidates_than_linear(store):
-    eng = SearchEngine(store=store, mode="hnsw", tau=0.6, n_neighbors=5, seed=0)
+    eng = SearchEngine(store=store, mode="hnsw", tau=0.6, n_neighbors=5)
     _, stats = eng.query("tab005_g0", k=5)
     assert stats.n_candidates <= len(store.table_ids) // 2

@@ -46,6 +46,7 @@ def test_santos_deterministic(spark):
     b = santos_lake(spark, n_domains=3, tables_per_domain=2, n_queries=2, seed=5)
     assert a.rows == b.rows
     assert a.queries == b.queries
+    assert len(a.tables()) == 3 * 2  # n_domains × tables_per_domain
 
 
 def test_tus_partitions_from_base(tiny_tus):

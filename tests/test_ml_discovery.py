@@ -119,7 +119,7 @@ def test_gbt_improves_with_good_join(spark, corpus, prep_santos):
     mse_nojoin = train_eval_gbt(q_df, prep_santos.embedder, max_iter=8)
     joined = augment_with_join(spark, t, lake, t.good_tid, "Entity", 0)
     mse_good = train_eval_gbt(joined, prep_santos.embedder, max_iter=8)
-    assert mse_good < mse_nojoin
+    assert 0 <= mse_good < mse_nojoin
 
 
 def test_query_featurization_matches_lake(tiny_santos, prep_santos):
