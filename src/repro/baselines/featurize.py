@@ -172,8 +172,6 @@ def feature_embeddings(
                 {
                     "table_id": row["table_id"],
                     "col_idx": int(row["col_idx"]),
-                    "sem_type": row["sem_type"],
-                    "domain": row["domain"],
                     "emb": _l2(v).astype(np.float32).tolist(),
                 }
             )

@@ -24,16 +24,10 @@ def normalize_rows(u: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return u / np.maximum(n, eps)
 
 
-def nt_xent_loss(z: np.ndarray, pairs: list[tuple[int, int]], tau: float = TAU_DEFAULT) -> float:
-    """Eq. 3 loss on already-normalized embeddings ``z`` (rows unit-norm)."""
-    loss, _ = _loss_grad_z(z, pairs, tau, want_grad=False)
-    return loss
-
-
 def _loss_grad_z(
-    z: np.ndarray, pairs: list[tuple[int, int]], tau: float, want_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
-    """Eq. 3 and its gradient w.r.t. ``z``, all anchors at once.
+    z: np.ndarray, pairs: list[tuple[int, int]], tau: float
+) -> tuple[float, np.ndarray]:
+    """Eq. 3 and its gradient w.r.t. ``z`` (rows unit-norm), all anchors at once.
 
     Every ordered pair (i, j) of ``pairs`` — (a, b) then (b, a) — is one
     anchor row of a masked log-sum-exp. The arithmetic is the per-anchor
@@ -42,7 +36,7 @@ def _loss_grad_z(
     """
     n = z.shape[0]
     if not len(pairs):
-        return 0.0, (np.zeros_like(z) if want_grad else None)
+        return 0.0, np.zeros_like(z)
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     i, j = p.ravel(), p[:, ::-1].ravel()
     k = np.arange(len(i))
@@ -57,8 +51,6 @@ def _loss_grad_z(
     terms = -s[i, j] + (m + np.log(sum_e))
     scale = 1.0 / (2 * len(p))
     loss = scale * np.add.accumulate(terms)[-1]
-    if not want_grad:
-        return loss, None
     # G[i] += p_i, then G[i, j] -= 1. p_i is exactly 0 at j, so folding
     # the -1 into p_i first rounds the same.
     prob = e / sum_e[:, None]
@@ -82,7 +74,7 @@ def loss_and_grad(
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     safe = np.maximum(norms, 1e-12)
     z = u / safe
-    loss, dz = _loss_grad_z(z, pairs, tau, want_grad=True)
+    loss, dz = _loss_grad_z(z, pairs, tau)
     du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / safe
     du[norms[:, 0] < 1e-12] = 0.0
     return loss, du

@@ -70,7 +70,7 @@ def train_word2vec(
     seed: int = 42,
 ) -> Embedder:
     """Pre-train token embeddings on the serialized lake (one sentence per column)."""
-    sent = prep_df.select(F.col("tokens").alias("text")).where(F.size("tokens") > 0)
+    sent = prep_df.select(F.flatten("units").alias("text")).where(F.size("text") > 0)
     w2v = Word2Vec(
         vectorSize=dim,
         windowSize=window,
@@ -92,34 +92,31 @@ def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
     """One table as a ``TableView``, the encoder's input in training and inference.
 
     ``cols`` yields ``(col_idx, units, numeric_frac, empty_frac)`` per
-    column, in column order, optionally followed by the column's
-    ``(sem_type, domain)`` labels. ``units`` (a list of token lists) is
-    kept as given, not copied.
+    column, in column order. ``units`` (a list of token lists) is kept as
+    given, not copied.
     """
     views = []
-    for col_idx, units, numeric_frac, empty_frac, *labels in cols:
+    for col_idx, units, numeric_frac, empty_frac in cols:
         views.append(ColumnView(
             int(col_idx),
             units,
             embedder.unit_vecs(units),
             numeric_frac > 0.5,
             float(empty_frac),
-            *labels,
         ))
     return TableView(table_id=table_id, cols=views)
 
 
-_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac", "sem_type", "domain")
+_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac")
 
 
 def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, TableView]:
     """Collect the preprocessed lake to driver-side TableViews, once per build.
 
-    Training and inference both read these views, and each column keeps
-    its ``sem_type``/``domain`` labels for the embedding rows. Lite lakes
-    hold ≤ a few hundred thousand selected tokens, so this is small; the
-    encoder's two 64×64 matrices make a distributed optimizer pure
-    overhead (see DESIGN.md §3).
+    Training and inference both read these views; ground-truth labels
+    stay in the ``Lake``. Lite lakes hold ≤ a few hundred thousand selected
+    tokens, so this is small; the encoder's two 64×64 matrices make a
+    distributed optimizer pure overhead (see DESIGN.md §3).
     """
     rows = prep_df.select("table_id", *_VIEW_COLS).collect()
     grouped: dict[str, list] = {}
@@ -297,8 +294,6 @@ EMB_SCHEMA = T.StructType(
     [
         T.StructField("table_id", T.StringType()),
         T.StructField("col_idx", T.IntegerType()),
-        T.StructField("sem_type", T.StringType()),
-        T.StructField("domain", T.StringType()),
         T.StructField("emb", T.ArrayType(T.FloatType())),
     ]
 )
@@ -323,7 +318,7 @@ def infer_embeddings(
         view = views.pop(tid)
         z = encoder.encode_view(view).astype(np.float32)
         rows.extend(
-            (tid, c.col_id, c.sem_type, c.domain, array("f", vec.tobytes()))
+            (tid, c.col_id, array("f", vec.tobytes()))
             for c, vec in zip(view.cols, z)
         )
     return spark.createDataFrame(rows, EMB_SCHEMA)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from .tfidf import cell_score
@@ -174,13 +173,9 @@ _OUT_SCHEMA = T.StructType(
     [
         T.StructField("table_id", T.StringType()),
         T.StructField("col_idx", T.IntegerType()),
-        T.StructField("col_name", T.StringType()),
-        T.StructField("sem_type", T.StringType()),
-        T.StructField("domain", T.StringType()),
         T.StructField("units", T.ArrayType(T.ArrayType(T.StringType()))),
-        T.StructField("tokens", T.ArrayType(T.StringType())),
-        T.StructField("empty_frac", T.DoubleType()),
         T.StructField("numeric_frac", T.DoubleType()),
+        T.StructField("empty_frac", T.DoubleType()),
     ]
 )
 
@@ -193,7 +188,11 @@ def preprocess_lake(
     idf: dict[str, float] | None = None,
     seed: int = 0,
 ) -> DataFrame:
-    """Lake-wide preprocessing pass (grouped by table for row-level methods)."""
+    """Lake-wide preprocessing pass (grouped by table for row-level methods).
+
+    One row per column, ``(table_id, col_idx, units, numeric_frac,
+    empty_frac)``; the serialized column is ``flatten(units)``.
+    """
     idf_local = dict(idf or {})
     spark = tokens_df.sparkSession
     idf_b = spark.sparkContext.broadcast(idf_local)
@@ -208,7 +207,6 @@ def preprocess_lake(
         )
         out = []
         for (_, row), u, raw in zip(pdf.iterrows(), units, cols):
-            toks = serialize(u)
             n = max(1, len(raw))
             n_empty = sum(1 for c in raw if not c)
             n_num = sum(
@@ -218,13 +216,9 @@ def preprocess_lake(
                 {
                     "table_id": row["table_id"],
                     "col_idx": int(row["col_idx"]),
-                    "col_name": row["col_name"],
-                    "sem_type": row["sem_type"],
-                    "domain": row["domain"],
                     "units": u,
-                    "tokens": toks,
-                    "empty_frac": n_empty / n,
                     "numeric_frac": n_num / n,
+                    "empty_frac": n_empty / n,
                 }
             )
         return pd.DataFrame(out)

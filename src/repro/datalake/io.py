@@ -69,10 +69,6 @@ class LakeStats:
     avg_rows: float
     size_mb: float
 
-    def row(self) -> tuple:
-        return (self.name, self.n_tables, self.n_cols, round(self.avg_rows, 1),
-                round(self.size_mb, 2))
-
 
 def lake_stats(df: DataFrame, name: str, size_bytes: int | None = None) -> LakeStats:
     """Compute Table 2 statistics via DataFrame aggregation."""

@@ -1,18 +1,19 @@
 """Column clustering case study (paper §5.5, Tables 9/10).
 
-From column embeddings we build a similarity graph (edges between
+From a method's vector store we build a similarity graph (edges between
 columns with cosine ≥ θ, paper uses θ=0.6) and cluster via connected
-components. Both steps run on the driver: the pairwise similarity is a
-blocked numpy GEMM over a few thousand columns, and the components come
-from one union-find pass over its edge list.
+components, then score the clusters' purity against the lake's
+``sem_type`` labels. Graph and components are built on the driver: the
+pairwise similarity is a blocked numpy GEMM over a few thousand columns,
+and the components come from one union-find pass over its edge list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
 
+from ..search.engine import TableStore
 from .metrics import purity
 
 
@@ -54,11 +55,10 @@ class ClusteringResult:
     purity: float
 
 
-def collect_columns(emb_df: DataFrame) -> tuple[np.ndarray, list[str]]:
-    """The column vectors of an embedding DataFrame and their sem_type labels."""
-    rows = emb_df.select("sem_type", "emb").collect()
-    vecs = np.asarray([r["emb"] for r in rows], dtype=np.float32)
-    return vecs, [r["sem_type"] for r in rows]
+def column_labels(store: TableStore, tables: dict[str, list[dict]]) -> list[str]:
+    """Each stored column's ``sem_type`` from ``tables`` (``Lake.tables()``),
+    in ``store.flat()`` order: both list a table's columns by ``col_idx``."""
+    return [c["sem_type"] for tid in store.table_ids for c in tables[tid]]
 
 
 def cluster_columns(vecs: np.ndarray, labels: list[str], *, theta: float = 0.6) -> ClusteringResult:

@@ -12,7 +12,8 @@ same global pool) but carries only noise features. Methods:
   column pair (rating-like lake columns excluded: label-leakage rule);
 - Overlap — same with raw token-overlap counts;
 - Starmie — contextualized-embedding retrieval with the target-column
-  similarity term (Appendix F formula).
+  similarity term (Appendix F formula), over the vector store
+  ``build_method`` returns; query tables are embedded with its encoder.
 
 The paper uses XGBoost + Sentence Transformers; we use MLlib's
 ``GBTRegressor`` + our Word2Vec column featurizer (see DESIGN.md §2).
@@ -35,7 +36,6 @@ from ..core.preprocess import preprocess_table
 from ..core.tokenize import tokenize_cell
 from ..datalake.generator import Lake, _domain_columns, _to_lake
 from ..datalake.vocab import DOMAINS, TYPES
-from ..search.engine import TableStore
 
 
 @dataclass
@@ -344,12 +344,11 @@ def run_ml_discovery(
     gbt_iter: int = 12,
 ) -> pd.DataFrame:
     """Full Table 7/11 harness. Returns per-task MSE per method."""
-    from ..experiments.common import encode_lake, prepare
+    from ..experiments.common import build_method, prepare
 
     tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
     prep = prepare(spark, lake)
-    enc, emb_df = encode_lake(prep, "starmie", epochs=epochs)
-    lake_emb = TableStore.from_embeddings_df(emb_df).mats
+    bundle = build_method(prep, "starmie", epochs=epochs)
     token_sets = _lake_token_sets(lake)
 
     records = []
@@ -362,8 +361,8 @@ def run_ml_discovery(
             joined = augment_with_join(spark, task, lake, tid, qc, ci)
             rec[metric.capitalize()] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)
             rec[f"{metric}_tid"] = tid
-        qcols, qvecs = embed_query_table(task, prep.embedder, enc, prep.idf)
-        tid, qc, ci = retrieve_starmie(task, lake_emb, qcols, qvecs, lake)
+        qcols, qvecs = embed_query_table(task, prep.embedder, bundle.encoder, prep.idf)
+        tid, qc, ci = retrieve_starmie(task, bundle.store.mats, qcols, qvecs, lake)
         joined = augment_with_join(spark, task, lake, tid, qc, ci)
         rec["Starmie"] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)
         rec["starmie_tid"] = tid

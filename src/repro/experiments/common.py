@@ -3,7 +3,8 @@
 Offline stage (Fig. 2): generate/persist lake → tokenize (Spark) →
 TF-IDF (Spark) → preprocess (Spark) → Word2Vec pre-training (MLlib) →
 contrastive training (driver, Alg. 1) → model inference (driver, on the
-views training collected) → vector store / index. Online stage:
+views training collected) → vector store / index, all in ``build_method``,
+whose store every table, the ML study and clustering read. Online stage:
 Algorithm 3 via ``SearchEngine``.
 """
 from __future__ import annotations
@@ -75,12 +76,18 @@ def prepare(spark: SparkSession, lake: Lake) -> Prepared:
 
 @dataclass
 class MethodBundle:
-    """A ready-to-search representation: a vector store or the SANTOS ranker."""
+    """A ready-to-search representation: a vector store or the SANTOS ranker.
+
+    ``encoder`` is the trained column encoder of ``starmie``/``singlecol``
+    (it embeds tables outside the lake, such as the ML study's queries),
+    and ``None`` for the other methods.
+    """
 
     name: str
     tau: float
     store: TableStore | None = None
     ranker: SantosRanker | None = None
+    encoder: MultiColumnEncoder | None = None
 
 
 def train_encoder(
@@ -104,35 +111,27 @@ def train_encoder(
     return enc
 
 
-def encode_lake(prep: Prepared, method: str, **train_kw) -> tuple[MultiColumnEncoder, DataFrame]:
-    """Collect the lake once, train a learned encoder on it and encode every
-    table with it: the encoder and its EMB_SCHEMA DataFrame.
-
-    ``train_kw`` (``op``, ``epochs``, ``lr``) go to ``train_encoder``.
-    """
-    views = collect_table_views(prep.prep_df, prep.embedder)
-    enc = train_encoder(prep, method, views, **train_kw)
-    return enc, infer_embeddings(prep.spark, views, enc)
-
-
-def method_embeddings_df(prep: Prepared, method: str, **train_kw) -> DataFrame:
-    """The column-embedding DataFrame of a vector method (EMB_SCHEMA).
-
-    The training keywords apply to the learned encoders (``starmie``,
-    ``singlecol``); the feature baselines have nothing to train.
-    """
-    if method in ("starmie", "singlecol"):
-        return encode_lake(prep, method, **train_kw)[1]
-    return feature_embeddings(prep.tokens_df, prep.embedder, method)
-
-
 def build_method(prep: Prepared, method: str, **train_kw) -> MethodBundle:
-    """Train/featurize one method on a prepared lake and load its vector store."""
+    """Train/featurize one method on a prepared lake and load its vector store.
+
+    The one way any table or study gets a method's vectors. The learned
+    encoders (``starmie``, ``singlecol``) collect the lake once, train on
+    it with ``train_kw`` (``op``, ``epochs``, ``lr``; see ``train_encoder``)
+    and encode every table with the trained encoder; the feature baselines
+    have nothing to train and ignore ``train_kw``.
+    """
     tau = DEFAULT_TAU.get(method, 0.6)
     if method == "santos":
         return MethodBundle(name=method, tau=tau, ranker=SantosRanker(prep.lake.tables()))
-    emb_df = method_embeddings_df(prep, method, **train_kw)
-    return MethodBundle(name=method, tau=tau, store=TableStore.from_embeddings_df(emb_df))
+    encoder = None
+    if method in ("starmie", "singlecol"):
+        views = collect_table_views(prep.prep_df, prep.embedder)
+        encoder = train_encoder(prep, method, views, **train_kw)
+        emb_df = infer_embeddings(prep.spark, views, encoder)
+    else:
+        emb_df = feature_embeddings(prep.tokens_df, prep.embedder, method)
+    return MethodBundle(name=method, tau=tau, store=TableStore.from_embeddings_df(emb_df),
+                        encoder=encoder)
 
 
 @dataclass

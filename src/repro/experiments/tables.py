@@ -16,10 +16,10 @@ from pyspark.sql import SparkSession
 
 from ..datalake import io as lake_io
 from ..datalake.generator import build_benchmark, microbench_lake
-from ..eval.clustering import cluster_columns, collect_columns
+from ..eval.clustering import cluster_columns, column_labels
 from ..eval.metrics import evaluate_rankings, ideal_recall
 from ..eval.ml_discovery import run_ml_discovery, summarize_ml
-from .common import build_method, method_embeddings_df, prepare, run_union_search
+from .common import build_method, prepare, run_union_search
 
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
                                   Path(__file__).resolve().parents[3] / "results"))
@@ -225,7 +225,9 @@ def table10_clustering(
               0.991, 0.992, 0.993)
     rows = []
     for m in methods:
-        vecs, labels = collect_columns(method_embeddings_df(prep, m, epochs=epochs))
+        store = build_method(prep, m, epochs=epochs).store
+        vecs, _ = store.flat()
+        labels = column_labels(store, lake.tables())
         grid = {t: cluster_columns(vecs, labels, theta=t) for t in thetas}
         theta = min(grid, key=lambda t: abs(grid[t].avg_size - target_avg_size))
         res = grid[theta]

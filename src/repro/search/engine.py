@@ -132,12 +132,13 @@ class SearchEngine:
 
     # -- Algorithm 3 ---------------------------------------------------------
     def query(
-        self, q: np.ndarray | str, k: int = 10, exclude_self: str | None = None
+        self, q: np.ndarray | str, k: int = 10
     ) -> tuple[list[tuple[str, float]], QueryStats]:
         """Top-k unionable tables for a query table id or column matrix.
 
-        A query given by table id stays in the lake and can rank itself,
-        as in the paper; ``exclude_self`` names a table to leave out.
+        The result is the first ``k`` candidates in (score desc,
+        ``table_id`` asc) order, zero-score tables included. A query given
+        by table id stays in the lake and can rank itself, as in the paper.
         """
         if isinstance(q, str):
             q_mat = self.store.mats[q]
@@ -146,16 +147,17 @@ class SearchEngine:
         stats = QueryStats()
         t0 = time.perf_counter()
         cands = self._find_candidates(q_mat)
-        if exclude_self is not None:
-            cands = [t for t in cands if t != exclude_self]
         stats.n_candidates = len(cands)
         use_bounds = self.mode != "linear"
-        heap: list[tuple[float, str]] = []  # min-heap of (score, tid)
-        for tid in cands:
+        # Min-heap of (score, -position): candidates come in table_id order,
+        # so at a tie the top is the latest one, the first to leave the
+        # top-k, and a later candidate must score strictly higher to enter.
+        heap: list[tuple[float, int]] = []
+        for pos, tid in enumerate(cands):
             sim = q_mat @ self.store.mats[tid].T
             if len(heap) < k:
                 stats.n_verifications += 1
-                heapq.heappush(heap, (table_union_score(sim, self.tau), tid))
+                heapq.heappush(heap, (table_union_score(sim, self.tau), -pos))
                 continue
             x = heap[0][0]
             if use_bounds:
@@ -165,15 +167,14 @@ class SearchEngine:
                 if lower_bound(sim, self.tau) > x:
                     stats.n_lb_accepts += 1
                     stats.n_verifications += 1
-                    heapq.heapreplace(heap, (table_union_score(sim, self.tau), tid))
+                    heapq.heapreplace(heap, (table_union_score(sim, self.tau), -pos))
                     continue
             stats.n_verifications += 1
             score = table_union_score(sim, self.tau)
             if score > x:
-                heapq.heapreplace(heap, (score, tid))
+                heapq.heapreplace(heap, (score, -pos))
         stats.seconds = time.perf_counter() - t0
-        ranked = sorted(heap, key=lambda e: (-e[0], e[1]))
-        return [(tid, s) for s, tid in ranked], stats
+        return [(cands[-p], s) for s, p in sorted(heap, reverse=True)], stats
 
     def memory_bytes(self) -> int:
         b = self.store.memory_bytes()

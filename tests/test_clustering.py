@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.eval.clustering import (
     cluster_columns,
-    collect_columns,
+    column_labels,
     connected_components,
     similarity_edges,
 )
@@ -98,10 +98,16 @@ def test_cluster_columns_counts_and_purity():
 
 
 def test_cluster_columns_end_to_end(prep_santos):
-    from repro.experiments.common import method_embeddings_df
+    """Table 10's path: a method's store, labelled from the lake row by row."""
+    from repro.experiments.common import build_method
 
-    vecs, labels = collect_columns(method_embeddings_df(prep_santos, "sherlock"))
+    store = build_method(prep_santos, "sherlock").store
+    vecs, _ = store.flat()
+    labels = column_labels(store, prep_santos.lake.tables())
     assert len(vecs) == len(labels) == len(prep_santos.lake.rows)
+    sem_type = {(c["table_id"], c["col_idx"]): c["sem_type"] for c in prep_santos.lake.rows}
+    keys = [(tid, i) for tid in store.table_ids for i in range(len(store.mats[tid]))]
+    assert labels == [sem_type[key] for key in keys]
     res = cluster_columns(vecs, labels, theta=0.95)
     assert res.n_clusters > 0
     assert 0.0 <= res.purity <= 1.0

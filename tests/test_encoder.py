@@ -177,25 +177,28 @@ def test_infer_empties_views(prep_santos, views):
     assert lake == {}
 
 
-def test_infer_schema_carries_ground_truth(prep_santos, views):
-    enc = SingleColEncoder(d_in=64, seed=0)
-    emb_df = _infer(prep_santos, views, enc)
-    assert {"table_id", "col_idx", "sem_type", "domain", "emb"} <= set(emb_df.columns)
-    labels = ["table_id", "col_idx", "sem_type", "domain"]
-    got = sorted(tuple(r) for r in emb_df.select(*labels).collect())
-    assert got == sorted(tuple(r) for r in prep_santos.prep_df.select(*labels).collect())
+def test_infer_schema_carries_ground_truth(prep_santos, views, tiny_santos):
+    """Embedding rows are keyed by (table_id, col_idx) alone, one per lake
+    column, so each vector joins to its ground truth in the ``Lake``."""
+    emb_df = _infer(prep_santos, views, SingleColEncoder(d_in=64, seed=0))
+    assert emb_df.columns == ["table_id", "col_idx", "emb"]
+    got = sorted(tuple(r) for r in emb_df.select("table_id", "col_idx").collect())
+    lake = sorted((c["table_id"], c["col_idx"]) for c in tiny_santos.rows)
+    assert got == lake
 
 
-def test_trained_encoder_separates_ambiguous_columns(prep_santos, views):
+def test_trained_encoder_separates_ambiguous_columns(prep_santos, views, tiny_santos):
     """The core claim (Fig. 1): context separates same-vocab columns from
     different domains; training must not collapse them together."""
     enc = MultiColumnEncoder(d_in=64, seed=0)
     enc.train(views, op="drop_col", n_epochs=8, embedder=prep_santos.embedder, seed=0)
-    emb_df = _infer(prep_santos, views, enc)
-    rows = emb_df.where("sem_type = 'year'").collect()
+    store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
+    tables = tiny_santos.tables()
     by_dom: dict[str, list[np.ndarray]] = {}
-    for r in rows:
-        by_dom.setdefault(r["domain"], []).append(np.asarray(r["emb"]))
+    for tid in store.table_ids:
+        for c in tables[tid]:
+            if c["sem_type"] == "year":
+                by_dom.setdefault(c["domain"], []).append(store.mats[tid][c["col_idx"]])
     doms = [d for d, v in by_dom.items() if len(v) >= 2][:2]
     if len(doms) == 2:
         a = np.stack(by_dom[doms[0]])

@@ -1,7 +1,7 @@
 """Algorithm 3 engine: exactness of linear/pruning, index modes, stats."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.search.engine import MODES, SearchEngine, TableStore
@@ -30,8 +30,9 @@ def store():
     return TableStore.from_arrays(mats)
 
 
-def brute_force_topk(store, q_tid, k, tau):
-    q = store.mats[q_tid]
+def brute_force_topk(store, q, k, tau):
+    """The first k lake tables in (score desc, table_id asc) order."""
+    q = store.mats[q] if isinstance(q, str) else q
     scored = [
         (tid, table_union_score(q @ store.mats[tid].T, tau))
         for tid in store.table_ids
@@ -104,6 +105,29 @@ def test_pruning_identical_to_linear_on_random_lakes(lake):
         assert all(s == 0.0 for _, s in lin)
 
 
+# One-column tables for the two tie cases below; query column E[0], k = 3.
+E = np.eye(4, dtype=np.float32)[:, None, :]
+T_POS = np.array([[0.8, 0.6, 0.0, 0.0]], dtype=np.float32)
+# a and b tie at 0.8 behind c and q at 1: the top 3 are c, q, a.
+POSITIVE_TIE = TableStore.from_arrays({"q": E[0], "a": T_POS, "b": T_POS, "c": E[0]})
+# d and q score 1, and a, b, c, e pad with 0: the top 3 are d, q, a.
+ZERO_PADDING = TableStore.from_arrays(
+    {"q": E[0], "a": E[1], "b": E[2], "c": E[3], "d": E[0], "e": E[1]})
+
+
+@pytest.mark.parametrize("mode", ["linear", "pruning"])
+@settings(max_examples=100, deadline=None)
+@given(random_lakes())
+@example(lake=(POSITIVE_TIE, E[0], 3, 0.6, False))
+@example(lake=(ZERO_PADDING, E[0], 3, 0.6, False))
+def test_exact_modes_equal_brute_force(mode, lake):
+    """Linear and pruning return the first k of (score desc, table_id asc)
+    over the whole lake: tied tables keep the smaller ids, zero scores pad."""
+    store, q, k, tau, _ = lake
+    res, _ = SearchEngine(store=store, mode=mode, tau=tau).query(q, k)
+    assert res == brute_force_topk(store, q, k, tau)
+
+
 def test_pruning_reduces_verifications(store):
     lin = SearchEngine(store=store, mode="linear", tau=0.6)
     prn = SearchEngine(store=store, mode="pruning", tau=0.6)
@@ -145,12 +169,6 @@ def test_k_larger_than_lake(store):
     eng = SearchEngine(store=store, mode="linear", tau=0.6)
     res, _ = eng.query("tab000_g0", k=500)
     assert len(res) == len(store.table_ids)
-
-
-def test_exclude_self(store):
-    eng = SearchEngine(store=store, mode="linear", tau=0.6)
-    res, _ = eng.query(store.mats["tab000_g0"], k=5, exclude_self="tab000_g0")
-    assert "tab000_g0" not in [t for t, _ in res]
 
 
 def test_memory_accounting(store):

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import evaluate_rankings
-from repro.experiments.common import build_method, method_embeddings_df, run_union_search
+from repro.baselines.featurize import feature_embeddings
+from repro.core.encoder import collect_table_views
+from repro.experiments.common import build_method, run_union_search
 from repro.search.engine import TableStore
 
 
@@ -100,10 +102,17 @@ def test_engine_memory_is_small_fraction(starmie_santos, tiny_santos):
 
 @pytest.mark.parametrize("method", ["starmie", "sherlock"])
 def test_build_method_loads_method_embeddings(prep_santos, method):
-    """build_method's store is exactly method_embeddings_df's vectors."""
-    kw = dict(op="drop_col", epochs=3, lr=3e-3)
-    store = build_method(prep_santos, method, **kw).store
-    ref = TableStore.from_embeddings_df(method_embeddings_df(prep_santos, method, **kw))
-    assert store.table_ids == ref.table_ids
-    for tid in ref.table_ids:
-        np.testing.assert_array_equal(store.mats[tid], ref.mats[tid])
+    """build_method's store is exactly the method's vectors: the trained
+    encoder's ``encode_view`` of every collected table, or the baseline's
+    ``feature_embeddings``; only a learned method returns its encoder."""
+    bundle = build_method(prep_santos, method, op="drop_col", epochs=3, lr=3e-3)
+    if method == "starmie":
+        views = collect_table_views(prep_santos.prep_df, prep_santos.embedder)
+        ref = {tid: bundle.encoder.encode_view(v).astype(np.float32) for tid, v in views.items()}
+    else:
+        assert bundle.encoder is None
+        emb_df = feature_embeddings(prep_santos.tokens_df, prep_santos.embedder, method)
+        ref = TableStore.from_embeddings_df(emb_df).mats
+    assert bundle.store.table_ids == sorted(ref)
+    for tid in bundle.store.table_ids:
+        np.testing.assert_array_equal(bundle.store.mats[tid], ref[tid])

@@ -14,8 +14,7 @@ from repro.eval.ml_discovery import (
     summarize_ml,
     train_eval_gbt,
 )
-from repro.experiments.common import encode_lake
-from repro.search.engine import TableStore
+from repro.experiments.common import build_method
 from repro.oracle import assert_equivalent
 
 
@@ -127,15 +126,15 @@ def test_query_featurization_matches_lake(tiny_santos, prep_santos):
 
     Fails if the query path's preprocessing drifts from ``prepare``'s.
     """
-    enc, emb_df = encode_lake(prep_santos, "starmie", epochs=2)
-    lake_emb = TableStore.from_embeddings_df(emb_df).mats
+    bundle = build_method(prep_santos, "starmie", epochs=2)
+    lake_emb = bundle.store.mats
     tables = tiny_santos.tables()
     assert set(lake_emb) == set(tables)
     for tid, cols in tables.items():
         cols = sorted(cols, key=lambda c: c["col_idx"])
         pdf = pd.DataFrame({str(c["col_idx"]): c["cells"] for c in cols})
         _, qvecs = embed_query_table(
-            MLTask(tid, pdf, "", ""), prep_santos.embedder, enc, prep_santos.idf
+            MLTask(tid, pdf, "", ""), prep_santos.embedder, bundle.encoder, prep_santos.idf
         )
         np.testing.assert_allclose(qvecs, lake_emb[tid], atol=1e-6, err_msg=tid)
 

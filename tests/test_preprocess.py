@@ -167,5 +167,6 @@ def test_preprocess_lake_columns_complete(spark, tiny_santos):
 
     tokens_df = tokenize_lake(tiny_santos.df)
     prep = preprocess_lake(tokens_df, idf=idf_map(tokens_df))
+    assert prep.columns == ["table_id", "col_idx", "units", "numeric_frac", "empty_frac"]
     assert prep.count() == tiny_santos.df.count()
-    assert prep.where("tokens IS NULL").count() == 0
+    assert prep.where("units IS NULL").count() == 0
