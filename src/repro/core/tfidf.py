@@ -4,9 +4,8 @@ Following the paper (§3.4 / Appendix A), a *column* is a document: the
 importance of a token is its inverse document frequency
 ``log(M) / |{t | token ∈ t}|`` where ``M`` is the number of lake columns
 (this is the paper's exact formula — note it is ``log(M)`` divided by
-the document frequency, not ``log(M/df)``). Cell scores are the sum (or
-average) of their tokens' scores; row scores sum the cell scores
-(Algorithm 2 lines 1–4).
+the document frequency, not ``log(M/df)``). A cell scores the average of
+its tokens' scores (Algorithm 2 line 2).
 
 The document-frequency pass is a DataFrame aggregation so it scales with
 the lake; the resulting (token → idf) map is small (vocabulary-sized)
@@ -49,9 +48,8 @@ def idf_map(tokens_df: DataFrame) -> dict[str, float]:
     return {r["token"]: log_m / r["df"] for r in rows}
 
 
-def cell_score(tokens: list[str], idf: dict[str, float], *, mode: str = "sum") -> float:
-    """Cell importance: sum or average of token TF-IDF scores (Alg. 2 l.2)."""
+def cell_score(tokens: list[str], idf: dict[str, float]) -> float:
+    """Cell importance: average of token TF-IDF scores (Alg. 2 l.2)."""
     if not tokens:
         return 0.0
-    s = sum(idf.get(t, 0.0) for t in tokens)
-    return s if mode == "sum" else s / len(tokens)
+    return sum(idf.get(t, 0.0) for t in tokens) / len(tokens)

@@ -32,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.encoder import Embedder, MultiColumnEncoder, table_view
-from ..core.preprocess import preprocess_table
+from ..core.preprocess import select_cells
 from ..core.tokenize import tokenize_cell
 from ..datalake.generator import Lake, _domain_columns, _to_lake
 from ..datalake.vocab import DOMAINS, TYPES
@@ -219,14 +219,14 @@ def embed_query_table(
 ) -> tuple[list[str], np.ndarray]:
     """Driver-side embedding of a query table with the trained encoder.
 
-    Preprocessing uses ``preprocess_table``'s defaults, as ``prepare``
-    does for the lake.
+    Each query column goes through ``select_cells``, as ``prepare``'s
+    ``preprocess_lake`` does for every lake column.
     """
     qcols = list(task.query_pdf.columns)
-    cell_tokens = [
-        [tokenize_cell(str(v)) for v in task.query_pdf[c]] for c in qcols
+    units = [
+        select_cells([tokenize_cell(str(v)) for v in task.query_pdf[c]], idf)
+        for c in qcols
     ]
-    units = preprocess_table(cell_tokens, idf=idf)
     view = table_view("query", [(i, u, 0.0, 0.0) for i, u in enumerate(units)], embedder)
     return qcols, encoder.encode_view(view)
 

@@ -1,11 +1,11 @@
 """End-to-end pipeline shared by the per-table experiment runners.
 
 Offline stage (Fig. 2): generate/persist lake → tokenize (Spark) →
-TF-IDF (Spark) → preprocess (Spark) → Word2Vec pre-training (MLlib) →
-contrastive training (driver, Alg. 1) → model inference (driver, on the
-views training collected) → vector store / index, all in ``build_method``,
-whose store every table, the ML study and clustering read. Online stage:
-Algorithm 3 via ``SearchEngine``.
+TF-IDF (Spark) → preprocess (Spark, Alg. 2 cell selection per column) →
+Word2Vec pre-training (MLlib) → contrastive training (driver, Alg. 1) →
+model inference (driver, on the views training collected) → vector store /
+index, all in ``build_method``, whose store every table, the ML study and
+clustering read. Online stage: Algorithm 3 via ``SearchEngine``.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ class Prepared:
 def prepare(spark: SparkSession, lake: Lake) -> Prepared:
     """Tokenize, score, preprocess (Alg. 2) and pre-train Word2Vec on a lake.
 
-    Sampling, token budget and Word2Vec settings are the defaults of
-    ``preprocess_lake`` and ``train_word2vec`` (DESIGN.md §3).
+    The token budget is ``core.preprocess.BUDGET`` and the Word2Vec
+    settings are the defaults of ``train_word2vec`` (DESIGN.md §3).
     """
     tokens_df = tokenize_lake(lake.df).persist()
     idf = idf_map(tokens_df)

@@ -1,4 +1,6 @@
 """Column encoders: Word2Vec pretraining, contrastive training, driver-side inference."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ def test_word2vec_vocabulary(prep_santos):
     assert len(emb.vectors) > 100
     v = next(iter(emb.vectors.values()))
     assert v.shape == (64,)
+
+
+# sha256 of tiny_santos's Word2Vec vectors under the test session's Spark
+# settings: each word in sorted order, then its float32 vector. Word2Vec's
+# sentence order and vocabulary tie order follow preprocess_lake's row
+# layout, so a change to that layout fails here.
+W2V_SANTOS_SHA256 = "178e4ca4352451dd8eebf07b61fa38aed653ad6d0c3d530a4c10e07b31e07caa"
+
+
+def test_word2vec_vectors_pinned(prep_santos):
+    vectors = prep_santos.embedder.vectors
+    h = hashlib.sha256()
+    for w in sorted(vectors):
+        h.update(w.encode())
+        h.update(np.asarray(vectors[w], dtype=np.float32).tobytes())
+    assert h.hexdigest() == W2V_SANTOS_SHA256
 
 
 def test_word2vec_same_type_tokens_closer(prep_santos):

@@ -1,170 +1,82 @@
-"""Algorithm 2 + Appendix A sampling methods: budgets, order, determinism."""
-import numpy as np
-import pytest
+"""Algorithm 2's TF-IDF cell selection: budget, order, and the lake pass."""
+from collections import defaultdict
 
-from repro.core.preprocess import (
-    METHODS,
-    preprocess_lake,
-    preprocess_table,
-    serialize,
-)
+import numpy as np
+from pyspark.sql import functions as F
+
+from repro.core.preprocess import BUDGET, preprocess_lake, select_cells
+from repro.core.tfidf import idf_map
 from repro.core.tokenize import tokenize_lake
 
 IDF = {f"t{i}": float(i) for i in range(100)}
+HALF = BUDGET // 2
 
 
-def make_cols(n_cols=3, n_rows=12, tokens_per_cell=2, seed=0):
-    g = np.random.default_rng(seed)
-    return [
-        [
-            [f"t{int(g.integers(0, 100))}" for _ in range(tokens_per_cell)]
-            for _ in range(n_rows)
-        ]
-        for _ in range(n_cols)
-    ]
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_budget_respected(method):
-    cols = make_cols(n_rows=40, tokens_per_cell=3)
-    out = preprocess_table(cols, method=method, budget=10, idf=IDF)
-    assert len(out) == len(cols)
-    for units in out:
-        n_tokens = len(serialize(units))
-        # row methods fill by whole rows so may exceed by one row's tokens
-        slack = 3 if method in ("tfidf_row", "row_ordered") else 0
-        assert n_tokens <= 10 + slack
-
-
-@pytest.mark.parametrize("method", [m for m in METHODS if m != "random"])
-def test_deterministic(method):
-    cols = make_cols(seed=3)
-    a = preprocess_table(cols, method=method, budget=8, idf=IDF, seed=1)
-    b = preprocess_table(cols, method=method, budget=8, idf=IDF, seed=2)
-    assert a == b
-
-
-def test_random_uses_seed():
-    cols = make_cols(n_rows=60, seed=4)
-    a = preprocess_table(cols, method="random", budget=6, idf=IDF, seed=1)
-    b = preprocess_table(cols, method="random", budget=6, idf=IDF, seed=1)
-    assert a == b
-
-
-@pytest.mark.parametrize(
-    "method", ["head", "random", "everyN", "uniform", "tfidf_token", "alphaHead"]
-)
-def test_token_level_unique(method):
-    cols = make_cols(n_rows=50, seed=5)
-    out = preprocess_table(cols, method=method, budget=12, idf=IDF)
-    for units in out:
-        toks = serialize(units)
-        assert len(set(toks)) == len(toks), "token-level methods take unique samples"
-
-
-def test_head_preserves_order():
-    cols = [[["b"], ["a"], ["c"], ["d"]]]
-    out = preprocess_table(cols, method="head", budget=3, idf=IDF)
-    assert serialize(out[0]) == ["b", "a", "c"]
-
-
-def test_alphahead_sorts():
-    cols = [[["b"], ["a"], ["d"], ["c"]]]
-    out = preprocess_table(cols, method="alphaHead", budget=2, idf=IDF)
-    assert serialize(out[0]) == ["a", "b"]
-
-
-def test_tfidf_token_picks_highest_idf():
-    cols = [[["t1"], ["t99"], ["t50"], ["t2"]]]
-    out = preprocess_table(cols, method="tfidf_token", budget=2, idf=IDF)
-    assert set(serialize(out[0])) == {"t99", "t50"}
-
-
-def test_tfidf_token_preserves_original_order():
-    cols = [[["t1"], ["t99"], ["t50"], ["t2"]]]
-    out = preprocess_table(cols, method="tfidf_token", budget=2, idf=IDF)
-    assert serialize(out[0]) == ["t99", "t50"]  # original positions 1 then 2
+def test_budget_respected():
+    g = np.random.default_rng(0)
+    cells = [[f"t{int(g.integers(0, 100))}" for _ in range(3)] for _ in range(40)]
+    units = select_cells(cells, IDF)
+    assert units
+    assert sum(len(u) for u in units) <= BUDGET
 
 
 def test_tfidf_entity_picks_high_score_cells():
-    cols = [[["t1", "t1"], ["t99", "t98"], ["t2", "t3"], ["t97", "t96"]]]
-    out = preprocess_table(cols, method="tfidf_entity", budget=4, idf=IDF)
-    cells = out[0]
-    assert ["t99", "t98"] in cells and ["t97", "t96"] in cells
-    assert ["t1", "t1"] not in cells
+    cells = [["t1"] * HALF, ["t99", "t98"] * (HALF // 2), ["t2", "t3"] * (HALF // 2),
+             ["t97", "t96"] * (HALF // 2)]
+    out = select_cells(cells, IDF)
+    assert out == [cells[1], cells[3]]
 
 
 def test_tfidf_entity_keeps_cell_order():
-    cols = [[["t99"], ["t1"], ["t98"]]]
-    out = preprocess_table(cols, method="tfidf_entity", budget=2, idf=IDF)
-    assert out[0] == [["t99"], ["t98"]]  # original relative order
+    cells = [["t99"] * HALF, ["t1"] * HALF, ["t98"] * HALF]
+    assert select_cells(cells, IDF) == [cells[0], cells[2]]  # original relative order
 
 
 def test_tfidf_entity_dedupes_cells():
-    cols = [[["t99"], ["t99"], ["t98"]]]
-    out = preprocess_table(cols, method="tfidf_entity", budget=3, idf=IDF)
-    assert out[0].count(["t99"]) == 1
-
-
-def test_row_methods_align_across_columns():
-    """Row selection is shared across the table's columns (Alg. 2 row mode)."""
-    cols = [
-        [["t99"], ["t1"], ["t98"], ["t2"]],
-        [["a99"], ["a1"], ["a98"], ["a2"]],
-    ]
-    idf = dict(IDF, a99=99.0, a98=98.0, a1=1.0, a2=2.0)
-    out = preprocess_table(cols, method="tfidf_row", budget=2, idf=idf)
-    # rows 0 and 2 have the highest scores in *both* columns
-    assert out[0] == [["t99"], ["t98"]]
-    assert out[1] == [["a99"], ["a98"]]
-
-
-def test_row_ordered_takes_prefix_rows():
-    cols = [[["x1"], ["x2"], ["x3"], ["x4"]]]
-    out = preprocess_table(cols, method="row_ordered", budget=2, idf=IDF)
-    assert out[0] == [["x1"], ["x2"]]
-
-
-def test_uniform_picks_frequent():
-    cols = [[["a"], ["a"], ["a"], ["b"], ["b"], ["c"]]]
-    out = preprocess_table(cols, method="uniform", budget=2, idf=IDF)
-    assert set(serialize(out[0])) == {"a", "b"}
+    out = select_cells([["t99"], ["t99"], ["t98"]], IDF)
+    assert out.count(["t99"]) == 1
 
 
 def test_empty_column():
-    out = preprocess_table([[]], method="tfidf_entity", budget=5, idf=IDF)
-    assert out == [[]]
+    assert select_cells([], IDF) == []
 
 
 def test_empty_cells_skipped():
-    cols = [[[], ["t5"], []]]
-    out = preprocess_table(cols, method="tfidf_entity", budget=5, idf=IDF)
-    assert out[0] == [["t5"]]
+    assert select_cells([[], ["t5"], []], IDF) == [["t5"]]
 
 
-@pytest.mark.parametrize("method", ["tfidf_entity", "head", "tfidf_row"])
-def test_preprocess_lake_matches_driver(spark, tiny_santos, method):
-    """The Spark pass must agree with the driver-side function per table."""
-    from repro.core.tfidf import idf_map
+def test_preprocess_lake_matches_driver(prep_santos):
+    """Every lake column equals the driver-side selection and fractions, laid
+    out as Word2Vec reads it: one partition per table, sorted within."""
+    rows = prep_santos.prep_df.withColumn("pid", F.spark_partition_id()).collect()
+    idf = prep_santos.idf
+    cells = {
+        (r["table_id"], r["col_idx"]): [list(c) for c in r["cell_tokens"]]
+        for r in prep_santos.tokens_df.collect()
+    }
+    assert sorted((r["table_id"], r["col_idx"]) for r in rows) == sorted(cells)
+    for r in rows:
+        col = cells[(r["table_id"], r["col_idx"])]
+        n = max(1, len(col))
+        n_num = sum(
+            1 for c in col if c and all(t.startswith("<num:") or t.isdigit() for t in c)
+        )
+        assert [list(u) for u in r["units"]] == select_cells(col, idf)
+        assert r["numeric_frac"] == n_num / n
+        assert r["empty_frac"] == sum(1 for c in col if not c) / n
+    assert any(r["numeric_frac"] > 0 for r in rows)
 
-    tokens_df = tokenize_lake(tiny_santos.df)
-    idf = idf_map(tokens_df)
-    prep = preprocess_lake(tokens_df, method=method, budget=12, idf=idf)
-    some = prep.orderBy("table_id", "col_idx").limit(12).collect()
-    by_table = {}
-    for r in tokens_df.collect():
-        by_table.setdefault(r["table_id"], []).append(r)
-    for r in some:
-        rows = sorted(by_table[r["table_id"]], key=lambda x: x["col_idx"])
-        cols = [[list(c) for c in rr["cell_tokens"]] for rr in rows]
-        expected = preprocess_table(cols, method=method, budget=12, idf=idf, seed=0)
-        got_units = [list(u) for u in r["units"]]
-        assert got_units == expected[r["col_idx"]]
+    parts_of = defaultdict(set)
+    keys_in = defaultdict(list)
+    for r in rows:
+        parts_of[r["table_id"]].add(r["pid"])
+        keys_in[r["pid"]].append((r["table_id"], r["col_idx"]))
+    assert all(len(p) == 1 for p in parts_of.values())
+    assert len(keys_in) > 1
+    assert all(keys == sorted(keys) for keys in keys_in.values())
 
 
 def test_preprocess_lake_columns_complete(spark, tiny_santos):
-    from repro.core.tfidf import idf_map
-
     tokens_df = tokenize_lake(tiny_santos.df)
     prep = preprocess_lake(tokens_df, idf=idf_map(tokens_df))
     assert prep.columns == ["table_id", "col_idx", "units", "numeric_frac", "empty_frac"]

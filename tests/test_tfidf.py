@@ -64,7 +64,6 @@ def test_rare_tokens_score_higher(tokens_df):
 
 def test_cell_score_modes():
     idf = {"a": 2.0, "b": 4.0}
-    assert cell_score(["a", "b"], idf, mode="sum") == pytest.approx(6.0)
-    assert cell_score(["a", "b"], idf, mode="avg") == pytest.approx(3.0)
+    assert cell_score(["a", "b"], idf) == pytest.approx(3.0)
     assert cell_score([], idf) == 0.0
     assert cell_score(["zzz"], idf) == 0.0  # unknown token
