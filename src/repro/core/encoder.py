@@ -5,7 +5,7 @@ DESIGN.md §2): we pre-train `pyspark.ml.feature.Word2Vec` on the
 serialized lake columns (fully unsupervised, like the LM), pool token
 vectors into per-column *base vectors*, and learn a linear-contextual
 projection with the paper's exact contrastive objective (Alg. 1, Eq.
-1–3) and augmentation operators (Table 1):
+1–3) and a Table 1 augmentation operator per encoder:
 
     MultiColumnEncoder (Starmie):  z_c = norm(W1·b_c + W2·b_ctx(c))
     SingleColEncoder   (SingleCol baseline): z_c = norm(W·b_c)
@@ -17,8 +17,8 @@ measures precisely what the paper measures: the value of table context.
 
 The lake is collected to the driver once per build
 (``collect_table_views``), and both stages read those views. Training
-pools every column's base vector once and re-pools only the columns a
-cell- or token-level op rewrote; inference (``infer_embeddings``) runs
+pools every column's base vector once and re-pools only the columns
+``sample_row`` rewrote; inference (``infer_embeddings``) runs
 ``encode_view`` on each collected table on the driver, the same
 ``table_view`` → ``encode_view`` path as training.
 """
@@ -91,23 +91,15 @@ def train_word2vec(
 def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
     """One table as a ``TableView``, the encoder's input in training and inference.
 
-    ``cols`` yields ``(col_idx, units, numeric_frac, empty_frac)`` per
-    column, in column order. ``units`` (a list of token lists) is kept as
-    given, not copied.
+    ``cols`` yields ``(col_idx, units)`` per column, in column order.
+    ``units`` (a list of token lists) is kept as given, not copied.
     """
-    views = []
-    for col_idx, units, numeric_frac, empty_frac in cols:
-        views.append(ColumnView(
-            int(col_idx),
-            units,
-            embedder.unit_vecs(units),
-            numeric_frac > 0.5,
-            float(empty_frac),
-        ))
+    views = [ColumnView(int(col_idx), units, embedder.unit_vecs(units))
+             for col_idx, units in cols]
     return TableView(table_id=table_id, cols=views)
 
 
-_VIEW_COLS = ("col_idx", "units", "numeric_frac", "empty_frac")
+_VIEW_COLS = ("col_idx", "units")
 
 
 def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, TableView]:
@@ -150,10 +142,10 @@ def context_vectors(b: np.ndarray) -> np.ndarray:
 class _PooledLake:
     """The base vector of every lake column, pooled once per ``train``.
 
-    The original views never change, and column-level ops only select or
-    reorder their columns, so a batch gathers its base vectors from here;
-    only a column that a cell- or token-level op rewrote (a new
-    ``ColumnView`` object) is pooled again.
+    The original views never change, and ``drop_col`` only selects their
+    columns, so a batch gathers its base vectors from here; only a column
+    that ``sample_row`` rewrote (a new ``ColumnView`` object) is pooled
+    again.
     """
 
     def __init__(self, tables: dict[str, TableView], dim: int):
@@ -201,6 +193,13 @@ class TrainStats:
 class MultiColumnEncoder:
     """Starmie's contextualized column encoder (trainable W1, W2)."""
 
+    # The augmentation op of Alg. 1. The paper (§5.1.5) found drop_col best
+    # on SANTOS and a cell-level op best on TUS with RoBERTa. With our
+    # Word2Vec + linear-contextual substitute, drop_col is best on both
+    # families (cell-level perturbations barely move mean-pooled base
+    # vectors), so every lake uses it (DESIGN.md §2).
+    OP = "drop_col"
+
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         g = np.random.default_rng(seed)
         self.d_in, self.d_out = d_in, d_out
@@ -221,13 +220,11 @@ class MultiColumnEncoder:
         self,
         tables: dict[str, TableView],
         *,
-        op: str = "drop_col",
         n_epochs: int = 12,
         batch_tables: int = 8,
         lr: float = 5e-3,
         tau: float = TAU_DEFAULT,
         seed: int = 0,
-        embedder: Embedder | None = None,
     ) -> TrainStats:
         rng = np.random.default_rng(seed)
         opt = Adam([self.W1, self.W2], lr=lr)
@@ -238,24 +235,24 @@ class MultiColumnEncoder:
             order = rng.permutation(len(tids))
             for s in range(0, len(tids), batch_tables):
                 batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
-                loss = self._step(lake, batch, op, rng, opt, tau, embedder)
+                loss = self._step(lake, batch, rng, opt, tau)
                 if loss is not None:
                     losses.append(loss)
         return TrainStats(losses=losses)
 
-    def _items(self, batch: list[TableView], op: str) -> tuple[list[TableView], str]:
-        """The batch's training items and the op that augments them."""
-        return batch, op
+    def _items(self, batch: list[TableView]) -> list[TableView]:
+        """The batch's training items, each augmented by ``OP``."""
+        return batch
 
-    def _step(self, lake, batch, op, rng, opt, tau, embedder) -> float | None:
+    def _step(self, lake, batch, rng, opt, tau) -> float | None:
         """One Adam step on ``batch``, or ``None`` and no step for a batch of
         fewer than three rows, whose Eq. 1 denominators are empty (NaN loss)."""
-        items, op = self._items(batch, op)
+        items = self._items(batch)
         views: list[TableView] = []
         pairs: list[tuple[int, int]] = []
         offset = 0
         for ori in items:
-            aug = apply_op(ori, op, rng, embedder=embedder)
+            aug = apply_op(ori, self.OP, rng)
             pairs.extend(aligned_pairs(ori, aug, offset, offset + len(ori.cols)))
             views.extend([ori, aug])
             offset += len(ori.cols) + len(aug.cols)
@@ -271,6 +268,11 @@ class MultiColumnEncoder:
 class SingleColEncoder(MultiColumnEncoder):
     """The paper's SingleCol baseline: same training, no context path."""
 
+    # Single-column training (§3.2): each column is an independent item and
+    # augmentation transforms columns one at a time, so Starmie's column-level
+    # op becomes the row-level one.
+    OP = "sample_row"
+
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         super().__init__(d_in, d_out, seed)
         self.W2 = np.zeros_like(self.W2)
@@ -278,16 +280,10 @@ class SingleColEncoder(MultiColumnEncoder):
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return b @ self.W1.T
 
-    def _items(self, batch: list[TableView], op: str) -> tuple[list[TableView], str]:
-        # Single-column training (§3.2): each column is an independent
-        # item; augmentation transforms columns one at a time, so
-        # column-level ops degrade to cell-level ones.
-        col_op = op if op in ("drop_cell", "drop_token", "swap_token",
-                              "repl_token", "sample_row", "sample_row_ordered",
-                              "shuffle_row") else "sample_row"
+    def _items(self, batch: list[TableView]) -> list[TableView]:
         # A one-column view has a zero context vector, so W2 gets a zero
         # gradient and stays zero.
-        return [TableView(v.table_id, [c]) for v in batch for c in v.cols], col_op
+        return [TableView(v.table_id, [c]) for v in batch for c in v.cols]
 
 
 EMB_SCHEMA = T.StructType(

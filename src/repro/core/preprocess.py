@@ -48,44 +48,23 @@ def select_cells(cells: Cells, idf: dict[str, float]) -> Cells:
     return [cells[i] for i in sorted(chosen)]
 
 
-_SELECTION = T.StructType(
-    [
-        T.StructField("units", T.ArrayType(T.ArrayType(T.StringType()))),
-        T.StructField("numeric_frac", T.DoubleType()),
-        T.StructField("empty_frac", T.DoubleType()),
-    ]
-)
-
-
 def preprocess_lake(tokens_df: DataFrame, *, idf: dict[str, float]) -> DataFrame:
     """Lake-wide preprocessing pass, one column at a time.
 
-    One row per column, ``(table_id, col_idx, units, numeric_frac,
-    empty_frac)``; the serialized column is ``flatten(units)``.
+    One row per column, ``(table_id, col_idx, units)``; the serialized
+    column is ``flatten(units)``.
     """
     idf_b = tokens_df.sparkSession.sparkContext.broadcast(idf)
 
-    @F.pandas_udf(_SELECTION)
-    def _select(cell_tokens: pd.Series) -> pd.DataFrame:
-        out = []
-        for ct in cell_tokens:
-            # Arrow hands array columns to pandas as numpy arrays; normalize
-            # to plain lists so truthiness/tuple() behave.
-            cells = [list(c) for c in ct]
-            n = max(1, len(cells))
-            out.append({
-                "units": select_cells(cells, idf_b.value),
-                "numeric_frac": sum(
-                    1 for c in cells
-                    if c and all(t.startswith("<num:") or t.isdigit() for t in c)
-                ) / n,
-                "empty_frac": sum(1 for c in cells if not c) / n,
-            })
-        return pd.DataFrame(out, columns=_SELECTION.fieldNames())
+    @F.pandas_udf(T.ArrayType(T.ArrayType(T.StringType())))
+    def _select(cell_tokens: pd.Series) -> pd.Series:
+        # Arrow hands array columns to pandas as numpy arrays; normalize
+        # to plain lists so truthiness/tuple() behave.
+        return pd.Series([select_cells([list(c) for c in ct], idf_b.value)
+                          for ct in cell_tokens])
 
     return (
-        tokens_df.select("table_id", "col_idx", _select("cell_tokens").alias("sel"))
-        .select("table_id", "col_idx", "sel.*")
+        tokens_df.select("table_id", "col_idx", _select("cell_tokens").alias("units"))
         # Word2Vec reads the lake in this layout (each table in one hash
         # partition, rows sorted by table and column): its sentence order and
         # its vocabulary tie order (reduceByKey partitions) both follow it, so

@@ -95,13 +95,16 @@ class Lake:
         return out
 
 
+# Share of cells left empty, as missing values in open-data tables.
+EMPTY_CELL_RATE = 0.02
+
+
 def _domain_columns(
     domain: Domain,
     table_id: str,
     n_rows: int,
     g: np.random.Generator,
     col_subset: list[int] | None = None,
-    empty_frac: float = 0.02,
 ) -> list[dict]:
     """Materialize one table of ``domain`` as column rows."""
     idxs = col_subset if col_subset is not None else list(range(len(domain.columns)))
@@ -110,9 +113,8 @@ def _domain_columns(
         col_name, type_name = domain.columns[ci]
         spec = TYPES[type_name]
         cells = spec.sample(n_rows, g)
-        if empty_frac > 0:
-            mask = g.random(n_rows) < empty_frac
-            cells = ["" if m else c for c, m in zip(cells, mask)]
+        mask = g.random(n_rows) < EMPTY_CELL_RATE
+        cells = ["" if m else c for c, m in zip(cells, mask)]
         rows.append(
             {
                 "table_id": table_id,

@@ -227,7 +227,7 @@ def embed_query_table(
         select_cells([tokenize_cell(str(v)) for v in task.query_pdf[c]], idf)
         for c in qcols
     ]
-    view = table_view("query", [(i, u, 0.0, 0.0) for i, u in enumerate(units)], embedder)
+    view = table_view("query", enumerate(units), embedder)
     return qcols, encoder.encode_view(view)
 
 

@@ -68,6 +68,10 @@ def prepare(spark: SparkSession, lake: Lake) -> Prepared:
     """
     tokens_df = tokenize_lake(lake.df).persist()
     idf = idf_map(tokens_df)
+    # Word2Vec reads the cached layout: persisted, prep_df keeps its
+    # spark.sql.shuffle.partitions hash partitions, while an uncached read is
+    # coalesced by adaptive execution into fewer partitions, which reorders
+    # Word2Vec's vocabulary ties and moves the vectors.
     prep_df = preprocess_lake(tokens_df, idf=idf).persist()
     prep_df.count()  # materialize
     embedder = train_word2vec(prep_df)
@@ -95,19 +99,24 @@ def train_encoder(
     method: str,
     views: dict[str, TableView],
     *,
-    # The paper (§5.1.5) found drop_col best on SANTOS and drop_cell best on
-    # TUS with RoBERTa. With our Word2Vec + linear-contextual substitute,
-    # drop_col is best on both families (cell-level perturbations barely
-    # move mean-pooled base vectors), so every lake uses it (DESIGN.md §2).
     op: str = "drop_col",
     epochs: int = 10,
     lr: float = 5e-3,
 ) -> MultiColumnEncoder:
     """Contrastively train Starmie's (or SingleCol's) column encoder (Alg. 1)
-    on the collected lake ``views``. The one home of the training defaults."""
+    on the collected lake ``views``. The one home of the training defaults.
+
+    Each encoder augments with its own ``OP`` (Starmie ``drop_col``,
+    SingleCol ``sample_row``). ``op`` names Starmie's op for callers that
+    pass it, such as starbench's settings; any other value raises
+    ``ValueError``.
+    """
+    if op != MultiColumnEncoder.OP:
+        raise ValueError(f"unsupported augmentation op {op!r}; only "
+                         f"{MultiColumnEncoder.OP!r} is built")
     cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
     enc = cls(d_in=prep.embedder.dim)
-    enc.train(views, op=op, n_epochs=epochs, lr=lr, embedder=prep.embedder)
+    enc.train(views, n_epochs=epochs, lr=lr)
     return enc
 
 

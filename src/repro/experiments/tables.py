@@ -2,14 +2,12 @@
 
 Each runner returns a pandas DataFrame shaped like the paper's table
 (``table7_ml`` returns the Table 7 summary and the Table 11 detail) and
-persists it under ``results/``. ``jobs/run.py RUNNER [flags]`` runs one of
+writes no ``results/`` CSV. ``jobs/run.py RUNNER [flags]`` runs one of
 them by name and forwards only the flags given on its command line, so
-each runner's signature is the one home of its defaults.
+each runner's signature is the one home of its defaults; a run with no
+flags also writes the runner's CSVs under ``results/``.
 """
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -21,16 +19,7 @@ from ..eval.metrics import evaluate_rankings, ideal_recall
 from ..eval.ml_discovery import run_ml_discovery, summarize_ml
 from .common import build_method, prepare, run_union_search
 
-RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
-                                  Path(__file__).resolve().parents[3] / "results"))
-
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
-
-
-def _save(df: pd.DataFrame, name: str) -> pd.DataFrame:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    df.to_csv(RESULTS_DIR / f"{name}.csv", index=False)
-    return df
 
 
 def table2_stats(spark: SparkSession, *, scale: float = 1.0,
@@ -47,7 +36,7 @@ def table2_stats(spark: SparkSession, *, scale: float = 1.0,
         st = lake_io.lake_stats(lake.df, b)
         rows.append({"benchmark": b, "n_tables": st.n_tables, "n_cols": st.n_cols,
                      "avg_rows": round(st.avg_rows, 1), "size_mb": round(st.size_mb, 2)})
-    return _save(pd.DataFrame(rows), "table2_stats")
+    return pd.DataFrame(rows)
 
 
 def table3_effectiveness(
@@ -81,7 +70,7 @@ def table3_effectiveness(
                          "ideal_r": round(ideal_recall(lake.ground_truth, k), 3)})
         prep.tokens_df.unpersist()
         prep.prep_df.unpersist()
-    return _save(pd.DataFrame(rows), "table3_effectiveness")
+    return pd.DataFrame(rows)
 
 
 def table4_negative_classes(
@@ -105,7 +94,7 @@ def table4_negative_classes(
         rows.append(rec)
         prep.tokens_df.unpersist()
         prep.prep_df.unpersist()
-    return _save(pd.DataFrame(rows), "table4_negative_classes")
+    return pd.DataFrame(rows)
 
 
 def table5_design_choices(
@@ -141,7 +130,7 @@ def table5_design_choices(
                 "avg_verifications": round(run.avg_verifications, 1),
                 "avg_candidates": round(run.avg_candidates, 1),
             })
-    return _save(pd.DataFrame(rows), "table5_table8_design_choices")
+    return pd.DataFrame(rows)
 
 
 def table6_memory(
@@ -179,7 +168,7 @@ def table6_memory(
             "parquet_mb": round(lake_io.dataset_bytes("santos_large_mem") / (1 << 20), 2),
             "space_overhead_pct": round(100 * mem / raw_bytes, 2),
         })
-    return _save(pd.DataFrame(rows), "table6_memory")
+    return pd.DataFrame(rows)
 
 
 def table7_ml(
@@ -190,9 +179,7 @@ def table7_ml(
     detail = run_ml_discovery(
         spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed, gbt_iter=gbt_iter
     )
-    summary = summarize_ml(detail)
-    _save(detail, "table11_ml_detail")
-    return _save(summary, "table7_ml_summary"), detail
+    return summarize_ml(detail), detail
 
 
 def table10_clustering(
@@ -234,7 +221,7 @@ def table10_clustering(
         rows.append({"method": m, "theta": theta, "n_clusters": res.n_clusters,
                      "avg_cluster_size": round(res.avg_size, 2),
                      "purity_pct": round(100 * res.purity, 2)})
-    return _save(pd.DataFrame(rows), "table10_clustering")
+    return pd.DataFrame(rows)
 
 
 def scalability_sweep(
@@ -260,4 +247,4 @@ def scalability_sweep(
                 "query_time_s": round(run.avg_query_seconds, 5),
                 "index_build_s": round(run.index_build_seconds, 2),
             })
-    return _save(pd.DataFrame(rows), f"scalability_{bench}")
+    return pd.DataFrame(rows)

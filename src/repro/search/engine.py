@@ -137,8 +137,9 @@ class SearchEngine:
         """Top-k unionable tables for a query table id or column matrix.
 
         The result is the first ``k`` candidates in (score desc,
-        ``table_id`` asc) order, zero-score tables included. A query given
-        by table id stays in the lake and can rank itself, as in the paper.
+        ``table_id`` asc) order among those scoring above 0, so it holds
+        fewer than ``k`` tables when fewer score. A query given by table id
+        stays in the lake and can rank itself, as in the paper.
         """
         if isinstance(q, str):
             q_mat = self.store.mats[q]
@@ -152,27 +153,28 @@ class SearchEngine:
         # Min-heap of (score, -position): candidates come in table_id order,
         # so at a tie the top is the latest one, the first to leave the
         # top-k, and a later candidate must score strictly higher to enter.
+        # Until the heap is full the bar X is 0, so no score-0 table enters,
+        # and every positive score does: LB > X signals an accept only
+        # against a full heap.
         heap: list[tuple[float, int]] = []
         for pos, tid in enumerate(cands):
+            full = len(heap) == k
+            x = heap[0][0] if full else 0.0
             sim = q_mat @ self.store.mats[tid].T
-            if len(heap) < k:
-                stats.n_verifications += 1
-                heapq.heappush(heap, (table_union_score(sim, self.tau), -pos))
-                continue
-            x = heap[0][0]
             if use_bounds:
                 if upper_bound(sim, self.tau) <= x:
                     stats.n_ub_prunes += 1
                     continue
-                if lower_bound(sim, self.tau) > x:
+                if full and lower_bound(sim, self.tau) > x:
                     stats.n_lb_accepts += 1
-                    stats.n_verifications += 1
-                    heapq.heapreplace(heap, (table_union_score(sim, self.tau), -pos))
-                    continue
             stats.n_verifications += 1
             score = table_union_score(sim, self.tau)
-            if score > x:
+            if score <= x:
+                continue
+            if full:
                 heapq.heapreplace(heap, (score, -pos))
+            else:
+                heapq.heappush(heap, (score, -pos))
         stats.seconds = time.perf_counter() - t0
         return [(cands[-p], s) for s, p in sorted(heap, reverse=True)], stats
 

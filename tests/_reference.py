@@ -53,8 +53,8 @@ def loss_and_grad(u, pairs, tau=TAU_DEFAULT):
     return loss, du
 
 
-def _step(enc, items, op, rng, opt, tau, embedder):
-    views = [(v, apply_op(v, op, rng, embedder=embedder)) for v in items]
+def _step(enc, items, rng, opt, tau):
+    views = [(v, apply_op(v, enc.OP, rng)) for v in items]
     b_blocks, c_blocks, pairs = [], [], []
     offset = 0
     for ori, aug in views:
@@ -72,8 +72,7 @@ def _step(enc, items, op, rng, opt, tau, embedder):
     return loss
 
 
-def train(enc, tables, *, op, n_epochs, batch_tables=8, lr=5e-3, tau=TAU_DEFAULT,
-          seed=0, embedder=None):
+def train(enc, tables, *, n_epochs, batch_tables=8, lr=5e-3, tau=TAU_DEFAULT, seed=0):
     """``MultiColumnEncoder.train`` with the reference step; returns the losses."""
     rng = np.random.default_rng(seed)
     opt = Adam([enc.W1, enc.W2], lr=lr)
@@ -83,6 +82,5 @@ def train(enc, tables, *, op, n_epochs, batch_tables=8, lr=5e-3, tau=TAU_DEFAULT
         order = rng.permutation(len(tids))
         for s in range(0, len(tids), batch_tables):
             batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
-            items, item_op = enc._items(batch, op)
-            losses.append(_step(enc, items, item_op, rng, opt, tau, embedder))
+            losses.append(_step(enc, enc._items(batch), rng, opt, tau))
     return losses

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.augment import OPS, ColumnView, TableView
+from repro.core.augment import ColumnView, TableView
 from repro.core.encoder import (
     MultiColumnEncoder,
     SingleColEncoder,
@@ -13,6 +13,7 @@ from repro.core.encoder import (
     context_vectors,
     infer_embeddings,
 )
+from repro.experiments.common import build_method, train_encoder
 from repro.search.engine import TableStore
 
 from . import _reference as ref
@@ -98,17 +99,17 @@ def test_context_vector_single_column():
     assert not context_vectors(np.ones((1, 4))).any()
 
 
-def test_training_reduces_loss(views, prep_santos):
+def test_training_reduces_loss(views):
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    stats = enc.train(views, op="drop_col", n_epochs=6, embedder=prep_santos.embedder, seed=0)
+    stats = enc.train(views, n_epochs=6, seed=0)
     first = np.mean(stats.losses[: len(stats.losses) // 5])
     last = np.mean(stats.losses[-len(stats.losses) // 5 :])
     assert last < first
 
 
-def test_singlecol_training_reduces_loss(views, prep_santos):
+def test_singlecol_training_reduces_loss(views):
     enc = SingleColEncoder(d_in=64, seed=0)
-    stats = enc.train(views, op="drop_cell", n_epochs=4, embedder=prep_santos.embedder, seed=0)
+    stats = enc.train(views, n_epochs=4, seed=0)
     assert np.mean(stats.losses[-5:]) < np.mean(stats.losses[:5])
 
 
@@ -129,9 +130,9 @@ def test_singlecol_ignores_context(views):
     assert np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
 
 
-def test_multicolumn_uses_context(views, prep_santos):
+def test_multicolumn_uses_context(views):
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    enc.train(views, op="drop_col", n_epochs=4, embedder=prep_santos.embedder, seed=0)
+    enc.train(views, n_epochs=4, seed=0)
     view = next(v for v in views.values() if len(v.cols) >= 3)
     z_full = enc.encode_view(view)
     sub = TableView(view.table_id, view.cols[:-1])
@@ -140,19 +141,42 @@ def test_multicolumn_uses_context(views, prep_santos):
     assert not np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
 
 
-@pytest.mark.parametrize("op", OPS)
-@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
-def test_training_equals_repooling_reference(views, prep_santos, cls, op):
+@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder],
+                         ids=lambda cls: f"{cls.__name__}-{cls.OP}")
+def test_training_equals_repooling_reference(views, cls):
     """Pooling base vectors once and the vectorized NT-Xent are lossless:
     W1, W2 and every loss are byte-equal to a loop that re-pools both
     views at every step and computes the loss one anchor at a time."""
     enc, expect = cls(d_in=64, seed=1), cls(d_in=64, seed=1)
-    kw = dict(op=op, n_epochs=2, lr=5e-3, embedder=prep_santos.embedder, seed=2)
+    kw = dict(n_epochs=2, lr=5e-3, seed=2)
     losses = enc.train(views, **kw).losses
     ref_losses = ref.train(expect, views, **kw)
     assert np.array_equal(enc.W1, expect.W1)
     assert np.array_equal(enc.W2, expect.W2)
     assert np.array_equal(losses, ref_losses)
+
+
+# sha256 of W1 then W2 (float64 bytes) after ``train_encoder``'s defaults run
+# 2 epochs on tiny_santos. Any change to the training arithmetic, or to the
+# random draws of batching and augmentation or their order, fails here.
+WEIGHTS_SANTOS_SHA256 = {
+    "starmie": "81a83f80c3a28bf5ee32201cb7121d97197db53bf96cd4665144a9f1eb274753",
+    "singlecol": "19a9a2d11500292b7f8bc33f51ac64e153ff1d317e7e24e6307e8102dc99a955",
+}
+
+
+@pytest.mark.parametrize("method", sorted(WEIGHTS_SANTOS_SHA256))
+def test_trained_weights_pinned(prep_santos, views, method):
+    enc = train_encoder(prep_santos, method, views, epochs=2)
+    h = hashlib.sha256(enc.W1.tobytes() + enc.W2.tobytes())
+    assert h.hexdigest() == WEIGHTS_SANTOS_SHA256[method]
+
+
+def test_only_drop_col_is_accepted(prep_santos):
+    """``op`` stays for starbench's settings, which pass ``"drop_col"``;
+    Table 1's other operators are not built."""
+    with pytest.raises(ValueError):
+        build_method(prep_santos, "starmie", op="drop_cell", epochs=1)
 
 
 @pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder])
@@ -161,8 +185,8 @@ def test_training_stays_finite_without_negatives(cls):
     ends on the one-column table has a batch of one positive pair and no
     negatives, which must make no step rather than turn W1/W2 into NaN."""
     g = np.random.default_rng(0)
-    cols = [ColumnView(i % 3, [["tok"]] * 5, g.normal(size=(5, 64)).astype(np.float32),
-                       False, 0.0) for i in range(25)]
+    cols = [ColumnView(i % 3, [["tok"]] * 5, g.normal(size=(5, 64)).astype(np.float32))
+            for i in range(25)]
     lake = {f"t{t}": TableView(f"t{t}", cols[3 * t : 3 * t + 3]) for t in range(8)}
     lake["t8"] = TableView("t8", cols[24:])
     enc = cls(d_in=64, seed=0)
@@ -182,7 +206,7 @@ def _infer(prep, views, enc):
 def test_stored_vectors_equal_encode_view(prep_santos, views, cls):
     """Every table's stored vectors are its ``encode_view`` in float32, exactly."""
     enc = cls(d_in=64, seed=3)
-    enc.train(views, n_epochs=1, embedder=prep_santos.embedder, seed=0)
+    enc.train(views, n_epochs=1, seed=0)
     store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
     assert store.table_ids == sorted(views)
     for tid, view in views.items():
@@ -209,7 +233,7 @@ def test_trained_encoder_separates_ambiguous_columns(prep_santos, views, tiny_sa
     """The core claim (Fig. 1): context separates same-vocab columns from
     different domains; training must not collapse them together."""
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    enc.train(views, op="drop_col", n_epochs=8, embedder=prep_santos.embedder, seed=0)
+    enc.train(views, n_epochs=8, seed=0)
     store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
     tables = tiny_santos.tables()
     by_dom: dict[str, list[np.ndarray]] = {}

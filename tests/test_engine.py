@@ -31,13 +31,13 @@ def store():
 
 
 def brute_force_topk(store, q, k, tau):
-    """The first k lake tables in (score desc, table_id asc) order."""
+    """The first k lake tables scoring above 0, in (score desc, table_id asc) order."""
     q = store.mats[q] if isinstance(q, str) else q
     scored = [
         (tid, table_union_score(q @ store.mats[tid].T, tau))
         for tid in store.table_ids
     ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
+    scored = sorted((e for e in scored if e[1] > 0), key=lambda e: (-e[1], e[0]))
     return scored[:k]
 
 
@@ -95,14 +95,16 @@ def random_lakes(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_lakes())
 def test_pruning_identical_to_linear_on_random_lakes(lake):
-    """Pruning returns linear's exact list: ids, scores, order, zero padding."""
+    """Pruning returns linear's exact list: ids, scores and order, and no
+    table that scores 0."""
     store, q, k, tau, no_edges = lake
     lin, _ = SearchEngine(store=store, mode="linear", tau=tau).query(q, k)
     prn, _ = SearchEngine(store=store, mode="pruning", tau=tau).query(q, k)
     assert prn == lin
-    assert len(lin) == min(k, len(store.table_ids))
+    n_scoring = sum(table_union_score(q @ m.T, tau) > 0 for m in store.mats.values())
+    assert len(lin) == min(k, n_scoring)
     if no_edges:
-        assert all(s == 0.0 for _, s in lin)
+        assert lin == []
 
 
 # One-column tables for the two tie cases below; query column E[0], k = 3.
@@ -110,8 +112,8 @@ E = np.eye(4, dtype=np.float32)[:, None, :]
 T_POS = np.array([[0.8, 0.6, 0.0, 0.0]], dtype=np.float32)
 # a and b tie at 0.8 behind c and q at 1: the top 3 are c, q, a.
 POSITIVE_TIE = TableStore.from_arrays({"q": E[0], "a": T_POS, "b": T_POS, "c": E[0]})
-# d and q score 1, and a, b, c, e pad with 0: the top 3 are d, q, a.
-ZERO_PADDING = TableStore.from_arrays(
+# d and q score 1 and a, b, c, e score 0: the top 3 are d and q alone.
+ZERO_SCORES = TableStore.from_arrays(
     {"q": E[0], "a": E[1], "b": E[2], "c": E[3], "d": E[0], "e": E[1]})
 
 
@@ -119,10 +121,11 @@ ZERO_PADDING = TableStore.from_arrays(
 @settings(max_examples=100, deadline=None)
 @given(random_lakes())
 @example(lake=(POSITIVE_TIE, E[0], 3, 0.6, False))
-@example(lake=(ZERO_PADDING, E[0], 3, 0.6, False))
+@example(lake=(ZERO_SCORES, E[0], 3, 0.6, False))
 def test_exact_modes_equal_brute_force(mode, lake):
     """Linear and pruning return the first k of (score desc, table_id asc)
-    over the whole lake: tied tables keep the smaller ids, zero scores pad."""
+    over the lake's tables scoring above 0: tied tables keep the smaller ids,
+    and no score-0 table pads the list."""
     store, q, k, tau, _ = lake
     res, _ = SearchEngine(store=store, mode=mode, tau=tau).query(q, k)
     assert res == brute_force_topk(store, q, k, tau)
@@ -166,9 +169,11 @@ def test_scores_descending(store):
 
 
 def test_k_larger_than_lake(store):
+    """k past the lake size returns every table scoring above 0, and only those."""
     eng = SearchEngine(store=store, mode="linear", tau=0.6)
     res, _ = eng.query("tab000_g0", k=500)
-    assert len(res) == len(store.table_ids)
+    assert res == brute_force_topk(store, "tab000_g0", 500, 0.6)
+    assert 0 < len(res) < len(store.table_ids)
 
 
 def test_memory_accounting(store):

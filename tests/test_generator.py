@@ -177,4 +177,4 @@ def test_empty_cell_injection(tiny_santos):
         for cols in tiny_santos.tables().values()
         for c in cols
     )
-    assert n_empty > 0  # drop_nan_col needs some empties to exist
+    assert n_empty > 0  # missing values exist for tokenization and select_cells to skip

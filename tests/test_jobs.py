@@ -1,4 +1,5 @@
-"""``jobs/run.py``: each runner gets exactly the flags given, and its tables print."""
+"""``jobs/run.py``: each runner gets exactly the flags given, its tables print,
+and only a run with no flags writes the runner's CSVs."""
 import importlib.util
 from pathlib import Path
 
@@ -7,17 +8,18 @@ import pytest
 
 from repro.experiments import tables
 
+ROOT = Path(__file__).resolve().parents[1]
 RUNNERS = ["table2_stats", "table3_effectiveness", "table4_negative_classes",
            "table5_design_choices", "table6_memory", "table7_ml",
            "table10_clustering", "scalability_sweep"]
 
 
 @pytest.fixture
-def job(monkeypatch):
-    """``jobs/run.py`` loaded by path, with a stand-in session and runners
-    that record their keywords instead of running a pipeline."""
-    spec = importlib.util.spec_from_file_location(
-        "jobs_run", Path(__file__).resolve().parents[1] / "jobs" / "run.py")
+def job(monkeypatch, tmp_path):
+    """``jobs/run.py`` loaded by path, with a stand-in session, runners that
+    record their keywords instead of running a pipeline, and its results
+    directory moved to ``tmp_path / "results"``."""
+    spec = importlib.util.spec_from_file_location("jobs_run", ROOT / "jobs" / "run.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     calls = []
@@ -34,6 +36,7 @@ def job(monkeypatch):
         return run
 
     monkeypatch.setattr(mod, "get_spark", lambda app: calls.append(app) or Session())
+    monkeypatch.setattr(mod, "RESULTS", tmp_path / "results")
     for name in RUNNERS:
         monkeypatch.setattr(tables, name, runner(name))
     return mod, calls
@@ -78,3 +81,21 @@ def test_unknown_runner_or_flag_exits_nonzero(job, argv):
         mod.main(argv)
     assert exc.value.code != 0
     assert calls == []
+
+
+def test_results_written_only_without_flags(job, tmp_path):
+    """``results/`` holds each runner's defaults: a run with a flag writes
+    nothing, and the runs without flags write every committed CSV name."""
+    mod, _ = job
+    results = tmp_path / "results"
+    mod.main(["table7_ml", "--n-tasks", "2", "--gbt-iter", "2"])
+    assert not results.exists()
+    mod.main(["table7_ml"])
+    assert sorted(p.name for p in results.iterdir()) == [
+        "table11_ml_detail.csv", "table7_ml_summary.csv"]
+    assert list(pd.read_csv(results / "table11_ml_detail.csv").columns) == \
+        mod.ML_DETAIL_COLS + ["starmie_tid"]  # the whole frame, not the printed columns
+    for name in RUNNERS:
+        mod.main([name])
+    committed = {p.name for p in (ROOT / "results").glob("*.csv")}
+    assert committed <= {p.name for p in results.iterdir()}

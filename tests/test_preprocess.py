@@ -46,8 +46,8 @@ def test_empty_cells_skipped():
 
 
 def test_preprocess_lake_matches_driver(prep_santos):
-    """Every lake column equals the driver-side selection and fractions, laid
-    out as Word2Vec reads it: one partition per table, sorted within."""
+    """Every lake column equals the driver-side selection, laid out as
+    Word2Vec reads it: one partition per table, sorted within."""
     rows = prep_santos.prep_df.withColumn("pid", F.spark_partition_id()).collect()
     idf = prep_santos.idf
     cells = {
@@ -57,14 +57,7 @@ def test_preprocess_lake_matches_driver(prep_santos):
     assert sorted((r["table_id"], r["col_idx"]) for r in rows) == sorted(cells)
     for r in rows:
         col = cells[(r["table_id"], r["col_idx"])]
-        n = max(1, len(col))
-        n_num = sum(
-            1 for c in col if c and all(t.startswith("<num:") or t.isdigit() for t in c)
-        )
         assert [list(u) for u in r["units"]] == select_cells(col, idf)
-        assert r["numeric_frac"] == n_num / n
-        assert r["empty_frac"] == sum(1 for c in col if not c) / n
-    assert any(r["numeric_frac"] > 0 for r in rows)
 
     parts_of = defaultdict(set)
     keys_in = defaultdict(list)
@@ -79,6 +72,6 @@ def test_preprocess_lake_matches_driver(prep_santos):
 def test_preprocess_lake_columns_complete(spark, tiny_santos):
     tokens_df = tokenize_lake(tiny_santos.df)
     prep = preprocess_lake(tokens_df, idf=idf_map(tokens_df))
-    assert prep.columns == ["table_id", "col_idx", "units", "numeric_frac", "empty_frac"]
+    assert prep.columns == ["table_id", "col_idx", "units"]
     assert prep.count() == tiny_santos.df.count()
     assert prep.where("units IS NULL").count() == 0

@@ -1,29 +1,34 @@
-"""The pipeline names starbench's tracer and store capture wrap must exist.
+"""The pipeline names and calls starbench relies on must keep working.
 
-``starbench/tracer.py`` replaces functions and methods by name, and its
-``StoreCapture`` wraps ``TableStore.from_embeddings_df``; a refactor that
-drops one of them would only fail in a traced benchmark run. The tracer is
-loaded from its file, unchanged.
+``starbench/tracer.py`` replaces functions and methods by name, its
+``StoreCapture`` wraps ``TableStore.from_embeddings_df``, and its offline
+build calls ``build_method`` with the keywords of ``SETTINGS``; a refactor
+that breaks one of them would otherwise only fail in a benchmark run. The
+starbench modules are loaded from their files, unchanged.
 """
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.search.engine import TableStore
 
-_TRACER = Path(__file__).resolve().parents[1] / "starbench" / "tracer.py"
+_STARBENCH = Path(__file__).resolve().parents[1] / "starbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("starbench_tracer", _TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"starbench_{name}", _STARBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve annotations through it
     spec.loader.exec_module(mod)
     return mod
 
 
-_T = _tracer()
+_T = _load("tracer")
 LAYERS = _T.OFFLINE_LAYERS + _T.SEARCH_LAYERS + _T.HNSW_LAYERS
 
 
@@ -38,3 +43,18 @@ def test_traced_name_resolves(module, cls, attr):
 
 def test_store_capture_name_resolves():
     assert "from_embeddings_df" in TableStore.__dict__
+
+
+def test_offline_build_entry_point(spark, tiny_santos):
+    """``spark_env.build_store`` with the benchmark's ``SETTINGS`` (1 epoch
+    instead of 30) stores one finite unit-norm vector per lake column."""
+    spark_env, store_cache = _load("spark_env"), _load("store_cache")
+    prep, bundle = spark_env.build_store(spark, tiny_santos, {**store_cache.SETTINGS, "epochs": 1})
+    try:
+        n_cols = Counter(c["table_id"] for c in tiny_santos.rows)
+        assert {t: len(m) for t, m in bundle.store.mats.items()} == n_cols
+        vecs, _ = bundle.store.flat()
+        assert np.isfinite(vecs).all()
+        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-5)
+    finally:
+        spark_env.release(prep)

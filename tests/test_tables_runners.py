@@ -7,16 +7,13 @@ from repro.experiments import tables as T
 
 def test_table2_stats_runner(spark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     df = T.table2_stats(spark, scale=0.05, benchmarks=("santos_small_lite",))
     assert set(df.columns) == {"benchmark", "n_tables", "n_cols", "avg_rows", "size_mb"}
     assert (df["n_tables"] > 0).all()
     assert (df["size_mb"] > 0).all()
-    assert (tmp_path / "table2_stats.csv").exists()
 
 
-def test_table3_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_table3_runner_tiny(spark):
     df = T.table3_effectiveness(
         spark, scale=0.12, benchmarks=("tus_small_lite",),
         methods=("starmie", "sherlock"), epochs=4,
@@ -27,15 +24,13 @@ def test_table3_runner_tiny(spark, tmp_path, monkeypatch):
     assert starmie_map > 0.5
 
 
-def test_table4_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_table4_runner_tiny(spark):
     df = T.table4_negative_classes(spark, classes=(2,), n_tables=40, epochs=4)
     assert list(df.columns) == ["n_negative_classes", "map_60", "map_120"]
     assert df["map_60"].iloc[0] > 0.3
 
 
-def test_table5_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_table5_runner_tiny(spark):
     df = T.table5_design_choices(
         spark, scale=0.3, methods=("starmie",), k=5, epochs=4,
     )
@@ -48,7 +43,6 @@ def test_table5_runner_tiny(spark, tmp_path, monkeypatch):
 
 def test_table6_runner_tiny(spark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     df = T.table6_memory(spark, scale=0.05, epochs=3)
     assert list(df["method"]) == ["No Index", "LSH Index", "HNSW Index"]
     assert (df["memory_mb"] > 0).all()
@@ -57,24 +51,21 @@ def test_table6_runner_tiny(spark, tmp_path, monkeypatch):
     assert no_idx.loc["HNSW Index", "memory_mb"] >= no_idx.loc["No Index", "memory_mb"]
 
 
-def test_table7_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_table7_runner_tiny(spark):
     summary, detail = T.table7_ml(spark, n_tasks=2, n_filler=4, gbt_iter=6)
     assert list(summary["method"]) == ["NoJoin", "Jaccard", "Overlap", "Starmie"]
     assert len(detail) == 2
     assert (summary["avg_mse"] > 0).all()
 
 
-def test_table10_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_table10_runner_tiny(spark):
     df = T.table10_clustering(spark, scale=0.25, methods=("sherlock", "starmie"), epochs=3)
     assert set(df["method"]) == {"sherlock", "starmie"}
     assert df["purity_pct"].between(0, 100).all()
     assert (df["n_clusters"] > 0).all()
 
 
-def test_scalability_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
+def test_scalability_runner_tiny(spark):
     df = T.scalability_sweep(
         spark, bench="santos_large_lite", scale=0.08,
         modes=("linear", "hnsw"), ks=(5,), epochs=2,
