@@ -1,5 +1,5 @@
 """Table-level data augmentation (paper Table 1 + Appendix B.1): the two
-operators the encoders train with.
+operators the encoders train with, and two order variants of them.
 
 Operators act on a ``TableView`` — the driver-side view of one table as
 per-column *units* (the cell token lists selected by preprocessing) plus
@@ -13,7 +13,11 @@ their precomputed unit vectors.
   base vectors the encoder consumes. SingleCol trains with it: its items
   are single columns, so a column-level op becomes a row-level one (§3.2).
 
-Table 1's other nine operators are not built (DESIGN.md §2).
+- ``shuffle_col`` permutes the columns and ``sample_row_ordered`` is
+  ``sample_row`` keeping the units in their original order. No encoder
+  trains with them; ROADMAP item 10 deletes them with their tests.
+
+Table 1's other seven operators are not built (DESIGN.md §2).
 
 The ``col_id`` bookkeeping realizes Fig. 5: a column surviving
 augmentation is *aligned* with its original, forming the positive pairs
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPS = ("drop_col", "sample_row")
+OPS = ("drop_col", "shuffle_col", "sample_row", "sample_row_ordered")
 
 
 @dataclass
@@ -50,13 +54,17 @@ def apply_op(view: TableView, op: str, rng: np.random.Generator) -> TableView:
         n_drop = int(rng.integers(1, len(cols)))
         drop = set(rng.choice(len(cols), size=n_drop, replace=False).tolist())
         return TableView(view.table_id, [c for i, c in enumerate(cols) if i not in drop])
-    if op != "sample_row":
+    if op == "shuffle_col":
+        return TableView(view.table_id, [cols[i] for i in rng.permutation(len(cols))])
+    if op not in ("sample_row", "sample_row_ordered"):
         raise ValueError(f"unknown op {op!r}")
     out: list[ColumnView] = []
     for c in cols:
         n = len(c.units)
         if n:
             idx = rng.choice(n, size=max(1, round(n / 2)), replace=False).tolist()
+            if op == "sample_row_ordered":
+                idx.sort()
             c = ColumnView(c.col_id, [c.units[i] for i in idx], c.vecs[idx])
         out.append(c)
     return TableView(view.table_id, out)

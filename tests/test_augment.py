@@ -47,6 +47,12 @@ def test_drop_col_keeps_at_least_one():
         assert len(out.cols) >= 1
 
 
+def test_shuffle_col_permutes_only():
+    view = make_view()
+    out = apply_op(view, "shuffle_col", np.random.default_rng(3))
+    assert sorted(c.col_id for c in out.cols) == [0, 1, 2, 3]
+
+
 def test_sample_row_halves_units():
     view = make_view(n_units=10)
     out = apply_op(view, "sample_row", np.random.default_rng(0))
@@ -54,6 +60,14 @@ def test_sample_row_halves_units():
         assert len(c.units) == 5
         for u, vec in zip(c.units, c.vecs):  # each kept unit keeps its own vector
             assert np.array_equal(vec, orig.vecs[orig.units.index(u)])
+
+
+def test_sample_row_ordered_preserves_order():
+    view = make_view(n_units=10)
+    out = apply_op(view, "sample_row_ordered", np.random.default_rng(0))
+    for orig, c in zip(view.cols, out.cols):
+        idx = [orig.units.index(u) for u in c.units]
+        assert idx == sorted(idx)
 
 
 def test_aligned_pairs_full_overlap():
