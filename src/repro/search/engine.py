@@ -4,14 +4,14 @@
 the paper's four design choices:
 
 - ``linear``  — scan every lake table, exact verification each time;
-- ``pruning`` — scan every table, but discard on ``UB ≤ X`` and use
-  ``LB > X`` as a guaranteed-accept signal (we still verify accepted
-  tables so the final scores are exact — this keeps Pruning's
-  effectiveness identical to Linear, exactly what the paper's Table 5
-  reports — while preserving the UB-discard savings that dominate);
+- ``pruning`` — scan every table, drop those with no τ-edge, and verify
+  the rest in descending ``upper_bound`` order, stopping once the bound
+  cannot beat the k-th score. The bound is ≥ the exact score, so the
+  result equals linear's (the paper's Table 5: same effectiveness);
 - ``lsh``     — candidates from a simHash LSH index per query column;
 - ``hnsw``    — candidates from an HNSW index per query column.
 
+``lsh`` and ``hnsw`` verify their candidates the way ``pruning`` does.
 Verification = exact max-weight bipartite matching on the τ-thresholded
 cosine graph. Results are a min-heap top-k (Definition 2.1).
 """
@@ -26,6 +26,8 @@ from pyspark.sql import DataFrame
 
 from .hnsw import HNSW
 from .lsh import SimHashLSH
+# lower_bound is not called here; starbench's tracer wraps it by this
+# module's name until ROADMAP item 11 changes the traced names.
 from .matching import lower_bound, table_union_score, upper_bound
 
 MODES = ("linear", "pruning", "lsh", "hnsw")
@@ -81,8 +83,7 @@ class TableStore:
 class QueryStats:
     n_candidates: int = 0
     n_verifications: int = 0
-    n_ub_prunes: int = 0
-    n_lb_accepts: int = 0
+    n_ub_prunes: int = 0  # candidates not verified: no τ-edge, or UB ≤ the k-th score
     seconds: float = 0.0
 
 
@@ -117,7 +118,7 @@ class SearchEngine:
 
     # -- findCandidates (§4.2) ---------------------------------------------
     def _find_candidates(self, q_mat: np.ndarray) -> list[str]:
-        if self.mode in ("linear", "pruning"):
+        if self.mode in ("linear", "pruning") or not self.store.table_ids:
             return self.store.table_ids
         cands: set[str] = set()
         for s in q_mat:
@@ -138,9 +139,12 @@ class SearchEngine:
 
         The result is the first ``k`` candidates in (score desc,
         ``table_id`` asc) order among those scoring above 0, so it holds
-        fewer than ``k`` tables when fewer score. A query given by table id
-        stays in the lake and can rank itself, as in the paper.
+        fewer than ``k`` tables when fewer score, and none on an empty
+        store. A query given by table id stays in the lake and can rank
+        itself, as in the paper. ``k`` below 1 raises ``ValueError``.
         """
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         if isinstance(q, str):
             q_mat = self.store.mats[q]
         else:
@@ -149,32 +153,36 @@ class SearchEngine:
         t0 = time.perf_counter()
         cands = self._find_candidates(q_mat)
         stats.n_candidates = len(cands)
-        use_bounds = self.mode != "linear"
-        # Min-heap of (score, -position): candidates come in table_id order,
-        # so at a tie the top is the latest one, the first to leave the
-        # top-k, and a later candidate must score strictly higher to enter.
-        # Until the heap is full the bar X is 0, so no score-0 table enters,
-        # and every positive score does: LB > X signals an accept only
-        # against a full heap.
-        heap: list[tuple[float, int]] = []
+        # Linear verifies every candidate in table_id order. The other modes
+        # skip tables without a τ-edge and verify the rest by descending
+        # UB, then position (table_id order).
+        bounded = self.mode != "linear"
+        todo = []
         for pos, tid in enumerate(cands):
-            full = len(heap) == k
-            x = heap[0][0] if full else 0.0
             sim = q_mat @ self.store.mats[tid].T
-            if use_bounds:
-                if upper_bound(sim, self.tau) <= x:
-                    stats.n_ub_prunes += 1
-                    continue
-                if full and lower_bound(sim, self.tau) > x:
-                    stats.n_lb_accepts += 1
+            if not bounded:
+                todo.append((0.0, pos, sim))
+            elif sim.size and sim.max() >= self.tau:
+                todo.append((-upper_bound(sim, self.tau), pos, sim))
+        todo.sort(key=lambda e: e[:2])
+        # Min-heap of (score, -position): its top is the entry that leaves
+        # the top-k first, and a table enters a full heap only by beating it
+        # as a whole tuple, so ties keep the smaller table_ids. Once a
+        # table's (UB, -position) cannot beat the top, neither can its score
+        # nor any later table's, as UB never falls below the exact score.
+        heap: list[tuple[float, int]] = []
+        for neg_ub, pos, sim in todo:
+            full = len(heap) == k
+            if bounded and full and (-neg_ub, -pos) <= heap[0]:
+                break
             stats.n_verifications += 1
             score = table_union_score(sim, self.tau)
-            if score <= x:
-                continue
             if full:
-                heapq.heapreplace(heap, (score, -pos))
-            else:
+                if (score, -pos) > heap[0]:
+                    heapq.heapreplace(heap, (score, -pos))
+            elif score > 0:
                 heapq.heappush(heap, (score, -pos))
+        stats.n_ub_prunes = len(cands) - stats.n_verifications
         stats.seconds = time.perf_counter() - t0
         return [(cands[-p], s) for s, p in sorted(heap, reverse=True)], stats
 

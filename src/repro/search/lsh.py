@@ -34,9 +34,9 @@ class SimHashLSH:
 
     def add(self, ids: np.ndarray, vecs: np.ndarray) -> None:
         sigs = self._signatures(np.asarray(vecs, dtype=np.float32))
-        for t in range(self.n_tables):
-            tab = self.tables[t]
-            for i, key in zip(ids.tolist(), sigs[:, t].tolist()):
+        ids = np.asarray(ids).tolist()  # one int object per id, shared by every table
+        for t, tab in enumerate(self.tables):
+            for i, key in zip(ids, sigs[:, t].tolist()):
                 tab.setdefault(key, []).append(i)
         self.n_items += len(ids)
 

@@ -5,9 +5,18 @@
   this container, so this is a from-scratch implementation; it is
   property-tested against brute-force permutation search).
 - ``table_union_score``: the paper's U(S,T) — max-weight matching over
-  the τ-thresholded column-similarity graph (Fig. 7).
-- ``upper_bound`` / ``lower_bound``: the greedy O(|E|log|E|+n) bounds of
-  §4.3 (Example 4.2: UB=3.0, LB=1.5 for the Fig. 7 instance).
+  the τ-thresholded column-similarity graph (Fig. 7). When each row's
+  heaviest τ-edge goes to a different column, those edges are a maximum
+  matching, and their sum is returned without running Hungarian.
+- ``upper_bound``: min(Σ row maxima, Σ column maxima) over the τ-edges, a
+  bound at least as tight as §4.3's greedy UB (Fig. 7: 2.2, where the
+  paper's greedy UB gives 3.0).
+- ``lower_bound``: the greedy maximal matching of §4.3 (Example 4.2:
+  LB=1.5). The engine does not use it.
+
+Sums of float32 weights ≥ τ are accumulated in float64, where they are
+exact, so a certified score equals Hungarian's bit for bit and
+``table_union_score(sim, τ) <= upper_bound(sim, τ)`` holds exactly.
 """
 from __future__ import annotations
 
@@ -93,10 +102,20 @@ def threshold_edges(sim: np.ndarray, tau: float) -> np.ndarray:
 
 
 def table_union_score(sim: np.ndarray, tau: float) -> float:
-    """U(S,T): exact verification (the expensive ``Verify`` of Alg. 3)."""
+    """U(S,T): exact verification (the ``Verify`` of Alg. 3).
+
+    No matching uses two edges of one row, so Σ row maxima bounds every
+    matching; when the rows' heaviest edges go to distinct columns they are
+    themselves a matching, and that sum is the optimum.
+    """
     w = threshold_edges(sim, tau)
     if not w.any():
         return 0.0
+    best = w.argmax(axis=1)
+    rows = np.flatnonzero(w[np.arange(len(best)), best])
+    cols = best[rows]
+    if len(set(cols.tolist())) == len(cols):
+        return float(w[rows, cols].sum(dtype=np.float64))
     score, _ = hungarian_max(w)
     return score
 
@@ -109,19 +128,15 @@ def _sorted_edges(sim: np.ndarray, tau: float) -> list[tuple[float, int, int]]:
 
 
 def upper_bound(sim: np.ndarray, tau: float) -> float:
-    """Greedy UB (§4.3): drop the one-edge-per-node constraint; add edges in
-    descending weight until one side is fully covered or edges run out."""
-    m, n = sim.shape
-    cov_s: set[int] = set()
-    cov_t: set[int] = set()
-    total = 0.0
-    for w, i, j in _sorted_edges(sim, tau):
-        total += w
-        cov_s.add(i)
-        cov_t.add(j)
-        if len(cov_s) == m or len(cov_t) == n:
-            break
-    return total
+    """UB on U(S,T): a matching takes at most one τ-edge per row and one per
+    column, so neither Σ row maxima nor Σ column maxima can be beaten.
+
+    The paper's greedy UB (§4.3) adds edges by descending weight until one
+    side is covered; this bound never exceeds it.
+    """
+    w = threshold_edges(sim, tau)
+    return float(min(w.max(axis=1, initial=0.0).sum(dtype=np.float64),
+                     w.max(axis=0, initial=0.0).sum(dtype=np.float64)))
 
 
 def lower_bound(sim: np.ndarray, tau: float) -> float:

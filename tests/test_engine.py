@@ -131,6 +131,21 @@ def test_exact_modes_equal_brute_force(mode, lake):
     assert res == brute_force_topk(store, q, k, tau)
 
 
+@pytest.mark.parametrize("mode", ["linear", "pruning"])
+def test_tie_behind_a_loose_bound(mode):
+    """Query columns e0, e1. b's edges are [[0.8, 0.85], [0, 0.7]]: its UB
+    (1.55) exceeds its score (0.8 + 0.7), so b is verified before a, whose
+    UB is its score. They tie, and a must still displace b by table_id."""
+    q = np.eye(2, dtype=np.float32)
+    store = TableStore.from_arrays({
+        "a": np.array([[0.8, 0.0], [0.0, 0.7]]),
+        "b": np.array([[0.8, 0.0], [0.85, 0.7]]),
+    })
+    res, _ = SearchEngine(store=store, mode=mode, tau=0.6).query(q, 1)
+    assert res == brute_force_topk(store, q, 1, 0.6)
+    assert [t for t, _ in res] == ["a"]
+
+
 def test_pruning_reduces_verifications(store):
     lin = SearchEngine(store=store, mode="linear", tau=0.6)
     prn = SearchEngine(store=store, mode="pruning", tau=0.6)
@@ -174,6 +189,31 @@ def test_k_larger_than_lake(store):
     res, _ = eng.query("tab000_g0", k=500)
     assert res == brute_force_topk(store, "tab000_g0", 500, 0.6)
     assert 0 < len(res) < len(store.table_ids)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_candidate_verified_or_pruned(store, mode):
+    eng = SearchEngine(store=store, mode=mode, tau=0.6)
+    for q in store.table_ids[:10]:
+        _, stats = eng.query(q, k=5)
+        assert stats.n_verifications + stats.n_ub_prunes == stats.n_candidates
+        if mode == "linear":
+            assert stats.n_ub_prunes == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(store, mode, k):
+    with pytest.raises(ValueError):
+        SearchEngine(store=store, mode=mode).query("tab000_g0", k)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_store_returns_nothing(mode):
+    eng = SearchEngine(store=TableStore.from_arrays({}), mode=mode)
+    q = np.ones((2, 24), dtype=np.float32) / np.sqrt(24)
+    res, stats = eng.query(q, k=5)
+    assert res == [] and stats.n_candidates == 0
 
 
 def test_memory_accounting(store):

@@ -63,6 +63,41 @@ def test_bounds_sandwich_exact(w, tau):
     assert exact <= ub + 1e-9
 
 
+@st.composite
+def float32_weights(draw):
+    """float32 weight matrices; a few repeated values make rows share their
+    heaviest column, which sends the score to Hungarian."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    val = st.floats(0, 1, width=32) | st.sampled_from([0.0, 0.5, 0.75, 1.0])
+    vals = draw(st.lists(val, min_size=m * n, max_size=m * n))
+    return np.array(vals, dtype=np.float32).reshape(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float32_weights(), st.floats(0.1, 0.9))
+def test_union_score_equals_hungarian_exactly(w, tau):
+    """Whether certified or not, the score is Hungarian's float, and the
+    brute-force optimum."""
+    t = threshold_edges(w, tau)
+    score = table_union_score(w, tau)
+    assert score == hungarian_max(t)[0]
+    assert score == brute_force_max_matching(t.astype(np.float64))
+
+
+def test_certificate_skips_hungarian(monkeypatch):
+    calls = []
+    real = hungarian_max
+    monkeypatch.setattr(
+        "repro.search.matching.hungarian_max", lambda w: calls.append(w) or real(w))
+    w = np.array([[0.9, 0.6, 0.0], [0.7, 0.8, 0.0]])
+    assert table_union_score(w, 0.5) == 0.9 + 0.8  # row maxima in distinct columns
+    assert calls == []
+    # rows 0 and 1 of Fig. 7 both peak in column 1, so Hungarian decides
+    assert table_union_score(fig7_matrix(), 0.5) == pytest.approx(2.15)
+    assert len(calls) == 1
+
+
 def fig7_matrix():
     sim = np.zeros((4, 3))
     sim[0, 0] = 0.8
@@ -78,7 +113,10 @@ def test_fig7_exact_score():
 
 
 def test_example_4_2_upper_bound():
-    assert upper_bound(fig7_matrix(), 0.5) == pytest.approx(3.0)
+    """The paper's greedy UB is 3.0 here (0.85 + 0.8 + 0.7 + 0.65, stopping
+    once every lake column is covered). Our bound takes the smaller of
+    Σ row maxima (0.85 + 0.7 + 0.65 = 2.2) and Σ column maxima (2.3)."""
+    assert upper_bound(fig7_matrix(), 0.5) == pytest.approx(2.2)
 
 
 def test_example_4_2_lower_bound():
