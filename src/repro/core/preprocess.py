@@ -23,6 +23,10 @@ from pyspark.sql import types as T
 from .tfidf import cell_score
 
 BUDGET = 40  # tokens per column
+# Hash partitions of the preprocessed lake. Fixed here, not taken from the
+# session's spark.sql.shuffle.partitions: Word2Vec reads this layout, and
+# adaptive execution never coalesces a repartition whose count is given.
+LAYOUT_PARTITIONS = 32
 
 Cells = list[list[str]]  # one token list per cell
 
@@ -65,11 +69,11 @@ def preprocess_lake(tokens_df: DataFrame, *, idf: dict[str, float]) -> DataFrame
 
     return (
         tokens_df.select("table_id", "col_idx", _select("cell_tokens").alias("units"))
-        # Word2Vec reads the lake in this layout (each table in one hash
-        # partition, rows sorted by table and column): its sentence order and
-        # its vocabulary tie order (reduceByKey partitions) both follow it, so
-        # another layout moves the vectors and the search quality. Only the
-        # selected rows are shuffled.
-        .repartition("table_id")
+        # Word2Vec reads the lake in this layout (each table in one of
+        # LAYOUT_PARTITIONS hash partitions, rows sorted by table and column):
+        # its sentence order and its vocabulary tie order (reduceByKey
+        # partitions) both follow it, so another layout moves the vectors and
+        # the search quality. Only the selected rows are shuffled.
+        .repartition(LAYOUT_PARTITIONS, "table_id")
         .sortWithinPartitions("table_id", "col_idx")
     )

@@ -80,9 +80,10 @@ class Lake:
     df: DataFrame
     queries: list[str]
     ground_truth: dict[str, set[str]] | None = None
-    # Driver-side copy of the column rows (list of dicts); generated
-    # lakes are lite-scale so this is cheap and lets the online query
-    # path avoid a Spark round-trip per query.
+    # Driver-side copy of the column rows (list of dicts), read through
+    # ``tables()`` by SANTOS, Table 3's k, the Table 10 labels and the ML
+    # study; the vector search never reads it. Generated lakes are
+    # lite-scale, so the copy is cheap.
     rows: list[dict] = field(default_factory=list)
 
     def tables(self) -> dict[str, list[dict]]:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
@@ -29,10 +29,6 @@ def save_lake(df: DataFrame, name: str) -> Path:
     p = lake_path(name)
     df.write.mode("overwrite").parquet(str(p))
     return p
-
-
-def load_lake(spark: SparkSession, name: str) -> DataFrame:
-    return spark.read.parquet(str(lake_path(name)))
 
 
 def dataset_bytes(name: str) -> int:

@@ -206,10 +206,6 @@ class Domain:
     name: str
     columns: tuple[tuple[str, str], ...]  # (col_name, type_name)
 
-    @property
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(t for _, t in self.columns)
-
 
 def _d(name: str, *cols: tuple[str, str]) -> Domain:
     for _, t in cols:

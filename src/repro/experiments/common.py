@@ -31,7 +31,8 @@ from ..core.tokenize import tokenize_lake
 from ..datalake.generator import Lake
 from ..search.engine import QueryStats, SearchEngine, TableStore
 
-VECTOR_METHODS = ("starmie", "singlecol", "sato", "sherlock", "d3l")
+LEARNED_METHODS = ("starmie", "singlecol")  # contrastively trained (Alg. 1)
+VECTOR_METHODS = LEARNED_METHODS + ("sato", "sherlock", "d3l")
 ALL_METHODS = VECTOR_METHODS + ("santos",)
 
 # Column-unionability thresholds τ per representation. The trained
@@ -68,10 +69,8 @@ def prepare(spark: SparkSession, lake: Lake) -> Prepared:
     """
     tokens_df = tokenize_lake(lake.df).persist()
     idf = idf_map(tokens_df)
-    # Word2Vec reads the cached layout: persisted, prep_df keeps its
-    # spark.sql.shuffle.partitions hash partitions, while an uncached read is
-    # coalesced by adaptive execution into fewer partitions, which reorders
-    # Word2Vec's vocabulary ties and moves the vectors.
+    # Cached because Word2Vec and every learned method's views read it. The
+    # layout is preprocess_lake's own (LAYOUT_PARTITIONS), cached or not.
     prep_df = preprocess_lake(tokens_df, idf=idf).persist()
     prep_df.count()  # materialize
     embedder = train_word2vec(prep_df)
@@ -124,16 +123,18 @@ def build_method(prep: Prepared, method: str, **train_kw) -> MethodBundle:
     """Train/featurize one method on a prepared lake and load its vector store.
 
     The one way any table or study gets a method's vectors. The learned
-    encoders (``starmie``, ``singlecol``) collect the lake once, train on
-    it with ``train_kw`` (``op``, ``epochs``, ``lr``; see ``train_encoder``)
-    and encode every table with the trained encoder; the feature baselines
-    have nothing to train and ignore ``train_kw``.
+    encoders (``LEARNED_METHODS``) collect the lake once, train on it with
+    ``train_kw`` (``op``, ``epochs``, ``lr``; see ``train_encoder``) and
+    encode every table with the trained encoder. The other methods have
+    nothing to train, so ``train_kw`` for them raises ``ValueError``.
     """
+    if train_kw and method not in LEARNED_METHODS:
+        raise ValueError(f"{method!r} trains nothing; got {sorted(train_kw)}")
     tau = DEFAULT_TAU.get(method, 0.6)
     if method == "santos":
         return MethodBundle(name=method, tau=tau, ranker=SantosRanker(prep.lake.tables()))
     encoder = None
-    if method in ("starmie", "singlecol"):
+    if method in LEARNED_METHODS:
         views = collect_table_views(prep.prep_df, prep.embedder)
         encoder = train_encoder(prep, method, views, **train_kw)
         emb_df = infer_embeddings(prep.spark, views, encoder)

@@ -1,4 +1,11 @@
-"""SparkSession factory for spark-submit jobs (tests use conftest's fixture)."""
+"""The one SparkSession definition, for the jobs and the tests.
+
+``SPARK_DRIVER_MEM`` (default 12g) sizes the driver JVM at launch; it is
+the one setting a deployment overrides. Every other setting is fixed here.
+The ML study's join, ``dropDuplicates`` and ``randomSplit`` follow
+``spark.sql.shuffle.partitions``; the preprocessed lake's layout does not
+(``core.preprocess.LAYOUT_PARTITIONS``).
+"""
 from __future__ import annotations
 
 import os
@@ -10,8 +17,7 @@ def get_spark(app_name: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app_name)
         .config("spark.driver.memory", os.environ.get("SPARK_DRIVER_MEM", "12g"))
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
+        .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")

@@ -17,9 +17,15 @@ from ..datalake.generator import build_benchmark, microbench_lake
 from ..eval.clustering import cluster_columns, column_labels
 from ..eval.metrics import evaluate_rankings, ideal_recall
 from ..eval.ml_discovery import run_ml_discovery, summarize_ml
-from .common import build_method, prepare, run_union_search
+from .common import LEARNED_METHODS, build_method, prepare, run_union_search
 
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
+
+
+def _build(prep, method: str, **train_kw):
+    """``build_method`` with a runner's training keywords, which only a
+    learned method takes."""
+    return build_method(prep, method, **(train_kw if method in LEARNED_METHODS else {}))
 
 
 def table2_stats(spark: SparkSession, *, scale: float = 1.0,
@@ -61,7 +67,7 @@ def table3_effectiveness(
                 rows.append({"benchmark": b, "k": k, "method": m,
                              "map": None, "r": None, "p": None, "ideal_r": None})
                 continue
-            bundle = build_method(prep, m, epochs=epochs, lr=lr)
+            bundle = _build(prep, m, epochs=epochs, lr=lr)
             run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
             rows.append({"benchmark": b, "k": k, "method": m,
@@ -118,7 +124,7 @@ def table5_design_choices(
     prep = prepare(spark, lake)
     rows = []
     for m in methods:
-        bundle = build_method(prep, m, epochs=epochs, lr=lr)
+        bundle = _build(prep, m, epochs=epochs, lr=lr)
         for mode in modes:
             run = run_union_search(bundle, lake.queries, k=k, mode=mode)
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
@@ -212,7 +218,7 @@ def table10_clustering(
               0.991, 0.992, 0.993)
     rows = []
     for m in methods:
-        store = build_method(prep, m, epochs=epochs).store
+        store = _build(prep, m, epochs=epochs).store
         vecs, _ = store.flat()
         labels = column_labels(store, lake.tables())
         grid = {t: cluster_columns(vecs, labels, theta=t) for t in thetas}

@@ -50,13 +50,8 @@ class TableStore:
         grouped: dict[str, list] = {}
         for r in rows:
             grouped.setdefault(r["table_id"], []).append((r["col_idx"], r["emb"]))
-        mats = {}
-        for tid, cols in grouped.items():
-            cols.sort()
-            m = np.asarray([c[1] for c in cols], dtype=np.float32)
-            mats[tid] = m
-        dim = next(iter(mats.values())).shape[1] if mats else 0
-        return cls(table_ids=sorted(mats), mats=mats, dim=dim)
+        return cls.from_arrays({tid: [emb for _, emb in sorted(cols)]
+                                for tid, cols in grouped.items()})
 
     @classmethod
     def from_arrays(cls, mats: dict[str, np.ndarray]) -> "TableStore":

@@ -24,7 +24,6 @@ class HNSW:
         self.mL = 1.0 / np.log(M)
         self._g = np.random.default_rng(seed)
         self.vecs = np.zeros((0, dim), dtype=np.float32)
-        self.levels: list[int] = []
         self.links: list[list[list[int]]] = []  # node -> level -> neighbor ids
         self.entry: int = -1
         self.max_level: int = -1
@@ -81,7 +80,6 @@ class HNSW:
 
     def _insert(self, node: int) -> None:
         level = int(-np.log(max(self._g.random(), 1e-12)) * self.mL)
-        self.levels.append(level)
         self.links.append([[] for _ in range(level + 1)])
         q = self.vecs[node]
         if self.entry < 0:

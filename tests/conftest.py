@@ -1,10 +1,20 @@
-"""Shared expensive fixtures: tiny lakes + prepared pipelines (session-scoped)."""
+"""Shared expensive fixtures: the session, tiny lakes and prepared pipelines
+(all session-scoped)."""
 from __future__ import annotations
 
 import pytest
 
 from repro.datalake.generator import santos_lake, tus_lake
 from repro.experiments.common import MethodBundle, Prepared, build_method, prepare
+from repro.experiments.session import get_spark
+
+
+@pytest.fixture(scope="session")
+def spark():
+    """The jobs' own session (``get_spark``), so tests pin what the jobs run."""
+    s = get_spark("repro")
+    yield s
+    s.stop()
 
 
 @pytest.fixture(scope="session")

@@ -32,11 +32,10 @@ def test_word2vec_vocabulary(prep_santos):
     assert v.shape == (64,)
 
 
-# sha256 of tiny_santos's Word2Vec vectors under the test session's Spark
-# settings: each word in sorted order, then its float32 vector. Word2Vec's
-# sentence order and vocabulary tie order follow preprocess_lake's row
-# layout, so a change to that layout fails here.
-W2V_SANTOS_SHA256 = "178e4ca4352451dd8eebf07b61fa38aed653ad6d0c3d530a4c10e07b31e07caa"
+# sha256 of tiny_santos's Word2Vec vectors: each word in sorted order, then
+# its float32 vector. Word2Vec's sentence order and vocabulary tie order
+# follow preprocess_lake's row layout, so a change to that layout fails here.
+W2V_SANTOS_SHA256 = "ce13433271a87fea74fecb313c77a64bbe6f36ed0c50ef83aa09da43de145c6d"
 
 
 def test_word2vec_vectors_pinned(prep_santos):
@@ -160,8 +159,8 @@ def test_training_equals_repooling_reference(views, cls):
 # 2 epochs on tiny_santos. Any change to the training arithmetic, or to the
 # random draws of batching and augmentation or their order, fails here.
 WEIGHTS_SANTOS_SHA256 = {
-    "starmie": "81a83f80c3a28bf5ee32201cb7121d97197db53bf96cd4665144a9f1eb274753",
-    "singlecol": "19a9a2d11500292b7f8bc33f51ac64e153ff1d317e7e24e6307e8102dc99a955",
+    "starmie": "95633b541e3638b051bb0064f1a450c0b04a29add42faa4ff91646f2c5423d8d",
+    "singlecol": "b8ca648964a3544663a3f4b1b15ce855a375185f948a755ce26afd65442386f7",
 }
 
 

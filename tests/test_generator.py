@@ -166,7 +166,7 @@ def test_lake_stats_vs_duckdb(spark, tiny_santos):
 def test_save_and_load_roundtrip(spark, tiny_santos, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
     lake_io.save_lake(tiny_santos.df, "rt")
-    back = lake_io.load_lake(spark, "rt")
+    back = spark.read.parquet(str(lake_io.lake_path("rt")))
     assert back.count() == tiny_santos.df.count()
     assert lake_io.dataset_bytes("rt") > 0
 

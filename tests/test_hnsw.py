@@ -93,6 +93,6 @@ def test_memory_bytes(built):
 
 
 def test_levels_geometric(built):
-    levels = np.array(built.levels)
+    levels = np.array([len(per_level) - 1 for per_level in built.links])
     assert levels.min() == 0
     assert (levels == 0).mean() > 0.5  # most nodes on the base layer

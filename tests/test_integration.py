@@ -105,7 +105,8 @@ def test_build_method_loads_method_embeddings(prep_santos, method):
     """build_method's store is exactly the method's vectors: the trained
     encoder's ``encode_view`` of every collected table, or the baseline's
     ``feature_embeddings``; only a learned method returns its encoder."""
-    bundle = build_method(prep_santos, method, op="drop_col", epochs=3, lr=3e-3)
+    train_kw = dict(op="drop_col", epochs=3, lr=3e-3) if method == "starmie" else {}
+    bundle = build_method(prep_santos, method, **train_kw)
     if method == "starmie":
         views = collect_table_views(prep_santos.prep_df, prep_santos.embedder)
         ref = {tid: bundle.encoder.encode_view(v).astype(np.float32) for tid, v in views.items()}
@@ -116,3 +117,11 @@ def test_build_method_loads_method_embeddings(prep_santos, method):
     assert bundle.store.table_ids == sorted(ref)
     for tid in bundle.store.table_ids:
         np.testing.assert_array_equal(bundle.store.mats[tid], ref[tid])
+
+
+@pytest.mark.parametrize("method", ["sato", "santos"])
+def test_untrained_methods_reject_train_kw(prep_santos, method):
+    """A training keyword for a method that trains nothing is an error, not
+    silently dropped."""
+    with pytest.raises(ValueError):
+        build_method(prep_santos, method, epochs=99)

@@ -69,6 +69,24 @@ def test_preprocess_lake_matches_driver(prep_santos):
     assert all(keys == sorted(keys) for keys in keys_in.values())
 
 
+def test_layout_independent_of_session(spark, prep_santos):
+    """The layout is preprocess_lake's own: under another shuffle-partition
+    setting and without persist, every row lies in the same partition, in
+    the same order, as in prepare's cached prep_df."""
+    def layout(df):
+        return [tuple(r) for r in
+                df.select("table_id", "col_idx", F.spark_partition_id()).collect()]
+
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "7")
+    try:
+        fresh = preprocess_lake(prep_santos.tokens_df, idf=prep_santos.idf)
+        assert layout(fresh) == layout(prep_santos.prep_df)
+    finally:
+        spark.conf.set(key, old)
+
+
 def test_preprocess_lake_columns_complete(spark, tiny_santos):
     tokens_df = tokenize_lake(tiny_santos.df)
     prep = preprocess_lake(tokens_df, idf=idf_map(tokens_df))

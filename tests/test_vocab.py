@@ -58,7 +58,7 @@ def test_shared_types_used_across_domains():
     """Ambiguous types must appear in ≥ 3 domains (the Fig. 1 setup)."""
     counts: dict[str, int] = {}
     for d in DOMAINS:
-        for t in set(d.type_names):
+        for t in {t for _, t in d.columns}:
             counts[t] = counts.get(t, 0) + 1
     for t in ("year", "city", "state", "date"):
         assert counts[t] >= 3, f"{t} appears in only {counts.get(t, 0)} domains"
