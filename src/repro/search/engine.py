@@ -8,7 +8,8 @@ the paper's four design choices:
   the rest in descending ``upper_bound`` order, stopping once the bound
   cannot beat the k-th score. The bound is ≥ the exact score, so the
   result equals linear's (the paper's Table 5: same effectiveness);
-- ``lsh``     — candidates from a simHash LSH index per query column;
+- ``lsh``     — candidates from a simHash LSH index, one lookup for all
+  query columns;
 - ``hnsw``    — candidates from an HNSW index per query column.
 
 ``lsh`` and ``hnsw`` verify their candidates the way ``pruning`` does.
@@ -59,15 +60,13 @@ class TableStore:
         dim = next(iter(mats.values())).shape[1] if mats else 0
         return cls(table_ids=sorted(mats), mats=mats, dim=dim)
 
-    def flat(self) -> tuple[np.ndarray, list[str]]:
-        vecs, owners = [], []
-        for tid in self.table_ids:
-            m = self.mats[tid]
-            vecs.append(m)
-            owners.extend([tid] * m.shape[0])
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every column in table order, and each row's table position in
+        ``table_ids``."""
+        mats = [self.mats[tid] for tid in self.table_ids]
         return (
-            np.vstack(vecs) if vecs else np.zeros((0, self.dim), dtype=np.float32),
-            owners,
+            np.vstack(mats) if mats else np.zeros((0, self.dim), dtype=np.float32),
+            np.repeat(np.arange(len(mats)), [m.shape[0] for m in mats]),
         )
 
     def memory_bytes(self) -> int:
@@ -96,16 +95,15 @@ class SearchEngine:
     tau: float = 0.6
     n_neighbors: int = 24
     _index: object = field(init=False, default=None, repr=False)
-    _owners: list[str] = field(init=False, default_factory=list, repr=False)
+    _owner_pos: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         assert self.mode in MODES, self.mode
         if self.mode in ("lsh", "hnsw"):
-            vecs, owners = self.store.flat()
-            self._owners = owners
+            vecs, self._owner_pos = self.store.flat()
             if self.mode == "lsh":
                 idx = SimHashLSH(self.store.dim)
-                idx.add(np.arange(len(owners)), vecs)
+                idx.add(np.arange(len(vecs)), vecs)
             else:
                 idx = HNSW(self.store.dim)
                 idx.add_batch(vecs)
@@ -115,16 +113,14 @@ class SearchEngine:
     def _find_candidates(self, q_mat: np.ndarray) -> list[str]:
         if self.mode in ("linear", "pruning") or not self.store.table_ids:
             return self.store.table_ids
-        cands: set[str] = set()
-        for s in q_mat:
-            if self.mode == "lsh":
-                for cid in self._index.query(s):
-                    cands.add(self._owners[cid])
-            else:
-                for cid, sim in self._index.search(s, self.n_neighbors, ef=HNSW_EF_SEARCH):
-                    if sim >= self.tau:
-                        cands.add(self._owners[cid])
-        return sorted(cands)
+        if self.mode == "lsh":
+            ids = self._index.query(q_mat)
+        else:
+            ids = [cid for s in q_mat
+                   for cid, sim in self._index.search(s, self.n_neighbors, ef=HNSW_EF_SEARCH)
+                   if sim >= self.tau]
+        pos = np.unique(self._owner_pos[np.asarray(ids, dtype=np.intp)])
+        return [self.store.table_ids[p] for p in pos.tolist()]
 
     # -- Algorithm 3 ---------------------------------------------------------
     def query(

@@ -1,9 +1,11 @@
-"""Straightforward reference versions of the contrastive training step.
+"""Straightforward reference versions of vectorized code in ``repro``.
 
 The differential tests compare the vectorized NT-Xent and the
 pooled-once training loop of ``repro.core`` against these: the loss
 computed one anchor at a time, and a step that re-pools every column's
-base vector on both views at every step.
+base vector on both views at every step. The array-backed simHash index
+is compared against ``SimHashLSH``, which keeps a dict of bucket lists
+per hash table and looks up one query vector at a time.
 """
 import numpy as np
 
@@ -84,3 +86,36 @@ def train(enc, tables, *, n_epochs, batch_tables=8, lr=5e-3, tau=TAU_DEFAULT, se
             batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
             losses.append(_step(enc, enc._items(batch), rng, opt, tau))
     return losses
+
+
+class SimHashLSH:
+    """``repro.search.lsh.SimHashLSH`` as one dict of bucket lists per table."""
+
+    def __init__(self, dim, *, n_tables=8, n_bits=12, seed=0):
+        g = np.random.default_rng(seed)
+        self.n_tables = n_tables
+        self.planes = g.normal(size=(n_tables, n_bits, dim)).astype(np.float32)
+        self.tables = [dict() for _ in range(n_tables)]
+        self._weights = (1 << np.arange(n_bits)).astype(np.int64)
+
+    def _signatures(self, vecs):
+        out = np.empty((vecs.shape[0], self.n_tables), dtype=np.int64)
+        for t in range(self.n_tables):
+            bits = (vecs @ self.planes[t].T) > 0
+            out[:, t] = bits @ self._weights
+        return out
+
+    def add(self, ids, vecs):
+        sigs = self._signatures(np.asarray(vecs, dtype=np.float32))
+        ids = np.asarray(ids).tolist()
+        for t, tab in enumerate(self.tables):
+            for i, key in zip(ids, sigs[:, t].tolist()):
+                tab.setdefault(key, []).append(i)
+
+    def query(self, vec):
+        """Union of one vector's buckets across all hash tables."""
+        sigs = self._signatures(vec.reshape(1, -1).astype(np.float32))[0]
+        out = set()
+        for t in range(self.n_tables):
+            out.update(self.tables[t].get(int(sigs[t]), ()))
+        return list(out)

@@ -107,6 +107,59 @@ def test_pruning_identical_to_linear_on_random_lakes(lake):
         assert lin == []
 
 
+@st.composite
+def edge_lakes(draw):
+    """Stores that are empty or hold 0-, 1- and 2-column tables, a query of
+    0 to 2 columns, and k ∈ {1, n, n+5} for n tables (k = 0 on an empty
+    store). With ``no_edges`` every query scores 0 against every table."""
+    g = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pool = unit(np.ones(6) + 0.4 * g.normal(size=(4, 6)))
+    no_edges = draw(st.booleans())
+    lake_dims = np.repeat([1.0, float(not no_edges)], 3)
+    query_dims = np.repeat([float(not no_edges), 1.0], 3)
+
+    def table(width, dims):
+        return unit(dims * pool[g.integers(0, 4, size=width)]).astype(np.float32)
+
+    widths = draw(st.lists(st.integers(0, 2), max_size=4))
+    mats = {f"t{t}": table(w, lake_dims) for t, w in enumerate(widths)}
+    q = table(draw(st.integers(0, 2)), query_dims)
+    k = draw(st.sampled_from([1, len(widths), len(widths) + 5]))
+    tau = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    return TableStore.from_arrays(mats), q, k, tau, no_edges
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=80, deadline=None)
+@given(edge_lakes())
+def test_edge_cases_in_every_mode(mode, lake):
+    """Linear and pruning return the brute-force top-k. LSH and HNSW return
+    tables scoring above 0 in (score desc, table_id asc) order, each with
+    its ``table_union_score`` recomputed. A store, query or lake with
+    nothing that scores gives []; k < 1 raises ``ValueError``."""
+    store, q, k, tau, no_edges = lake
+    eng = SearchEngine(store=store, mode=mode, tau=tau)
+    if k < 1:
+        with pytest.raises(ValueError):
+            eng.query(q, k)
+        return
+    res, stats = eng.query(q, k)
+    expected = brute_force_topk(store, q, k, tau)
+    if no_edges or not len(q):
+        assert expected == []
+    assert stats.n_verifications + stats.n_ub_prunes == stats.n_candidates
+    if mode in ("linear", "pruning"):
+        assert res == expected
+    else:
+        assert len(res) <= k
+        assert res == sorted(res, key=lambda e: (-e[1], e[0]))
+        for tid, score in res:
+            assert score > 0
+            assert score == table_union_score(q @ store.mats[tid].T, tau)
+        if not expected:
+            assert res == []
+
+
 # One-column tables for the two tie cases below; query column E[0], k = 3.
 E = np.eye(4, dtype=np.float32)[:, None, :]
 T_POS = np.array([[0.8, 0.6, 0.0, 0.0]], dtype=np.float32)

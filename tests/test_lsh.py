@@ -1,8 +1,12 @@
-"""simHash LSH index: collision behaviour, recall, memory accounting."""
+"""simHash LSH index: collision behaviour, recall, memory accounting, and
+the array-backed index against the dict-of-lists reference."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.search.lsh import SimHashLSH
+from ._reference import SimHashLSH as ReferenceLSH
 
 
 def unit(v):
@@ -82,3 +86,63 @@ def test_memory_bytes_grows(clustered):
 def test_empty_query():
     idx = SimHashLSH(16, seed=0)
     assert idx.query(np.ones(16, dtype=np.float32)) == []
+
+
+def test_empty_index_and_empty_query():
+    idx = SimHashLSH(16, seed=0)
+    assert idx.query(np.zeros((0, 16), dtype=np.float32)) == []
+    assert idx.query(np.ones((3, 16), dtype=np.float32)) == []
+    idx.add(np.zeros(0, dtype=np.int64), np.zeros((0, 16), dtype=np.float32))
+    assert idx.n_items == 0
+    vecs = unit(np.random.default_rng(0).normal(size=(4, 16))).astype(np.float32)
+    idx.add(np.arange(4), vecs)
+    assert idx.query(np.zeros((0, 16), dtype=np.float32)) == []
+    idx.add(np.zeros(0, dtype=np.int64), np.zeros((0, 16), dtype=np.float32))
+    assert idx.n_items == 4
+    assert idx.query(vecs[:1]) == idx.query(vecs[0])
+
+
+def test_memory_bytes_counts_planes_and_bucket_arrays():
+    """Per table: every id (int64), the distinct keys (uint8 below 9 bits)
+    and one intp start offset per bucket plus the end."""
+    idx = SimHashLSH(4, n_tables=2, n_bits=1, seed=0)
+    planes = 2 * 1 * 4 * 4
+    assert idx.memory_bytes() == planes + 2 * 8
+    v = unit(np.array([[1.0, 2.0, 3.0, 4.0]]))
+    # v and -v lie on opposite sides of every hyperplane: two buckets a table.
+    idx.add([5, 6, 7], np.vstack([v, -v, v]))
+    assert idx.memory_bytes() == planes + 2 * 3 * 8 + 2 * 2 * 1 + 2 * 3 * 8
+
+
+def off_planes(vecs, planes, margin=1e-4):
+    """The rows whose every projection is at least ``margin`` from 0: a
+    projection within float32 rounding of 0 takes either sign, depending on
+    how the product sums, in the reference's per-table products as in the
+    index's single one."""
+    proj = vecs.astype(np.float64) @ planes.reshape(-1, planes.shape[-1]).T.astype(np.float64)
+    return vecs[np.abs(proj).min(axis=1) >= margin]
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_tables=st.sampled_from([1, 8]), n_bits=st.sampled_from([1, 4, 12, 16]),
+       seed=st.integers(0, 2**16), n_first=st.integers(0, 40), n_second=st.integers(0, 40))
+def test_candidates_equal_reference(n_tables, n_bits, seed, n_first, n_second):
+    """Over two ``add`` calls with ids that are not 0..n-1, every query
+    vector, alone or all in one matrix, gets exactly the reference's ids."""
+    dim = 8
+    new = SimHashLSH(dim, n_tables=n_tables, n_bits=n_bits, seed=seed)
+    ref = ReferenceLSH(dim, n_tables=n_tables, n_bits=n_bits, seed=seed)
+    g = np.random.default_rng(seed)
+    pool = off_planes(unit(g.normal(size=(n_first + n_second + 10, dim))).astype(np.float32),
+                      new.planes)
+    ids = g.choice(10**6, size=len(pool), replace=False)
+    for part in (slice(0, n_first), slice(n_first, n_first + n_second)):
+        new.add(ids[part], pool[part])
+        ref.add(ids[part], pool[part])
+    assert new.n_items == len(pool[:n_first + n_second])
+    every = set()
+    for v in pool:  # indexed vectors and fresh ones
+        want = sorted(ref.query(v))
+        assert new.query(v) == want
+        every.update(want)
+    assert new.query(pool) == sorted(every)

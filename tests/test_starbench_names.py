@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.search.engine import TableStore
+from repro.search.engine import SearchEngine, TableStore
 
 _STARBENCH = Path(__file__).resolve().parents[1] / "starbench"
 
@@ -39,6 +39,24 @@ def test_traced_name_resolves(module, cls, attr):
     if cls is not None:
         owner = getattr(owner, cls)
     assert attr in vars(owner)
+
+
+def test_lsh_engine_calls_traced_methods():
+    """An ``lsh`` engine makes one ``SimHashLSH.add`` per build and one
+    ``SimHashLSH.query`` per query, whatever the query's width, so the
+    traced ``search.lsh.*`` layers see every build and query."""
+    g = np.random.default_rng(0)
+    mats = {f"t{i}": g.normal(size=(i % 3 + 1, 8)) for i in range(6)}
+    mats = {t: m / np.linalg.norm(m, axis=1, keepdims=True) for t, m in mats.items()}
+    t = _T.Tracer(_T.SEARCH_LAYERS)
+    try:
+        engine = SearchEngine(store=TableStore.from_arrays(mats), mode="lsh")
+        for q in ("t0", "t2", "t4"):
+            engine.query(q, 2)
+    finally:
+        t.restore()
+    assert t.calls["search.lsh.build"] == 1
+    assert t.calls["search.lsh.query"] == t.calls["search.engine.query"] == 3
 
 
 def test_store_capture_name_resolves():
