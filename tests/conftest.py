@@ -17,13 +17,14 @@ def spark():
     s.stop()
 
 
+TINY_SANTOS = dict(name="tiny_santos", n_domains=8, tables_per_domain=5,
+                   rows_range=(25, 50), n_queries=6, seed=7)
+
+
 @pytest.fixture(scope="session")
 def tiny_santos(spark):
     """SANTOS-style lake small enough for unit tests, large enough to rank."""
-    return santos_lake(
-        spark, name="tiny_santos", n_domains=8, tables_per_domain=5,
-        rows_range=(25, 50), n_queries=6, seed=7,
-    )
+    return santos_lake(spark, **TINY_SANTOS)
 
 
 @pytest.fixture(scope="session")

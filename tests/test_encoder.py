@@ -1,9 +1,17 @@
 """Column encoders: Word2Vec pretraining, contrastive training, driver-side inference."""
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.core._multiarray_umath import __cpu_features__
 
+import repro
 from repro.core.augment import ColumnView, TableView
 from repro.core.encoder import (
     MultiColumnEncoder,
@@ -158,17 +166,56 @@ def test_training_equals_repooling_reference(views, cls):
 # sha256 of W1 then W2 (float64 bytes) after ``train_encoder``'s defaults run
 # 2 epochs on tiny_santos. Any change to the training arithmetic, or to the
 # random draws of batching and augmentation or their order, fails here.
+# The bytes are those of OpenBLAS's Prescott (generic) dgemm kernel at 4
+# threads with numpy's AVX512 exp/log; another kernel or thread count gives
+# weights that differ in the last bits, so the test trains in a child process
+# under PIN_ENV. Reproduce them outside pytest, from the repository root, with
+#   PYTHONPATH=src OPENBLAS_CORETYPE=Prescott OPENBLAS_NUM_THREADS=4 python -m tests.test_encoder
 WEIGHTS_SANTOS_SHA256 = {
     "starmie": "95633b541e3638b051bb0064f1a450c0b04a29add42faa4ff91646f2c5423d8d",
     "singlecol": "b8ca648964a3544663a3f4b1b15ce855a375185f948a755ce26afd65442386f7",
 }
+PIN_ENV = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "4"}
 
 
-@pytest.mark.parametrize("method", sorted(WEIGHTS_SANTOS_SHA256))
-def test_trained_weights_pinned(prep_santos, views, method):
-    enc = train_encoder(prep_santos, method, views, epochs=2)
-    h = hashlib.sha256(enc.W1.tobytes() + enc.W2.tobytes())
-    assert h.hexdigest() == WEIGHTS_SANTOS_SHA256[method]
+def _openblas_dynamic_arch() -> bool:
+    """numpy's BLAS is the OpenBLAS 0.3.23.dev build that picks its kernel at
+    run time, so ``OPENBLAS_CORETYPE`` selects one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas["name"] and blas["version"] == "0.3.23.dev"
+            and "DYNAMIC_ARCH=1" in blas["openblas configuration"])
+
+
+# SingleCol's bytes change with the OpenBLAS thread count; Starmie's do not.
+_FOUR_CPUS = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 4,
+    reason="the singlecol pin is OpenBLAS at 4 threads, and OpenBLAS caps its "
+           "threads at the fewer CPUs this process may use")
+
+
+def _trained_digest(embedder, method, views) -> str:
+    enc = train_encoder(SimpleNamespace(embedder=embedder), method, views, epochs=2)
+    return hashlib.sha256(enc.W1.tobytes() + enc.W2.tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="the pins are OpenBLAS 0.3.23.dev's Prescott kernel, and "
+                           "this numpy's BLAS is not that DYNAMIC_ARCH build")
+@pytest.mark.skipif(not __cpu_features__["AVX512_SKX"],
+                    reason="the pins are numpy's AVX512_SKX exp/log, which this CPU "
+                           "lacks or numpy has disabled")
+@pytest.mark.parametrize("method", ["starmie", pytest.param("singlecol", marks=_FOUR_CPUS)])
+def test_trained_weights_pinned(prep_santos, views, method, tmp_path):
+    lake = tmp_path / "lake.pkl"
+    lake.write_bytes(pickle.dumps((prep_santos.embedder, views)))
+    # the child imports the repro under test, whatever its working directory
+    env = {**os.environ, **PIN_ENV, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    # the child's stderr goes to this test's captured output
+    out = subprocess.run([sys.executable, "-m", "tests.test_encoder", str(lake), method],
+                         cwd=Path(__file__).parents[1], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.split() == [method, WEIGHTS_SANTOS_SHA256[method]]
 
 
 def test_only_drop_col_is_accepted(prep_santos):
@@ -247,3 +294,25 @@ def test_trained_encoder_separates_ambiguous_columns(prep_santos, views, tiny_sa
         within = (np.mean(a @ a.T) + np.mean(b @ b.T)) / 2
         cross = np.mean(a @ b.T)
         assert within > cross
+
+
+if __name__ == "__main__":
+    # python -m tests.test_encoder [LAKE_PICKLE METHOD...]: each method's
+    # digest, from the test's pickled (embedder, views) or from tiny_santos.
+    if len(sys.argv) > 1:
+        with open(sys.argv[1], "rb") as f:
+            embedder, lake_views = pickle.load(f)
+    else:
+        from repro.datalake.generator import santos_lake
+        from repro.experiments.common import prepare
+        from repro.experiments.session import get_spark
+
+        from .conftest import TINY_SANTOS
+
+        spark = get_spark("repro")
+        prep = prepare(spark, santos_lake(spark, **TINY_SANTOS))
+        embedder = prep.embedder
+        lake_views = collect_table_views(prep.prep_df, embedder)
+        spark.stop()
+    for m in sys.argv[2:] or sorted(WEIGHTS_SANTOS_SHA256):
+        print(m, _trained_digest(embedder, m, lake_views))
