@@ -2,8 +2,9 @@
 operators the encoders train with.
 
 Operators act on a ``TableView`` — the driver-side view of one table as
-per-column *units* (the cell token lists selected by preprocessing) plus
-their precomputed unit vectors.
+per-column *units* (the cell token lists selected by preprocessing). Each
+distinct unit and its unit vector are held once, in a shared ``Units``
+table, and a column holds the rows of its units in that table.
 
 - ``drop_col`` drops a random nonempty proper subset of the columns.
   Starmie trains with it on every lake (DESIGN.md §2).
@@ -29,10 +30,29 @@ OPS = ("drop_col", "sample_row")
 
 
 @dataclass
+class Units:
+    """Distinct cell units and their unit vectors, shared by the columns
+    that hold them."""
+
+    tokens: list[list[str]]  # the token list of each distinct unit
+    vecs: np.ndarray  # (n_distinct, d0) unit mean vectors, row i for tokens[i]
+
+
+@dataclass
 class ColumnView:
     col_id: int
-    units: list[list[str]]  # selected cell token lists
-    vecs: np.ndarray  # (n_units, d0) unit mean vectors
+    rows: np.ndarray  # (n_units,) the column's selected cells, as rows of ``distinct``
+    distinct: Units
+
+    @property
+    def units(self) -> list[list[str]]:
+        """The column's cell token lists (shared, not copied)."""
+        return [self.distinct.tokens[r] for r in self.rows.tolist()]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        """(n_units, d0) unit mean vectors, gathered from ``distinct``."""
+        return self.distinct.vecs[self.rows]
 
 
 @dataclass
@@ -54,10 +74,10 @@ def apply_op(view: TableView, op: str, rng: np.random.Generator) -> TableView:
         raise ValueError(f"unknown op {op!r}")
     out: list[ColumnView] = []
     for c in cols:
-        n = len(c.units)
+        n = len(c.rows)
         if n:
-            idx = rng.choice(n, size=max(1, round(n / 2)), replace=False).tolist()
-            c = ColumnView(c.col_id, [c.units[i] for i in idx], c.vecs[idx])
+            idx = rng.choice(n, size=max(1, round(n / 2)), replace=False)
+            c = ColumnView(c.col_id, c.rows[idx], c.distinct)
         out.append(c)
     return TableView(view.table_id, out)
 

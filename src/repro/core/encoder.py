@@ -16,11 +16,15 @@ the paper's SingleCol baseline, so the Starmie-vs-SingleCol comparison
 measures precisely what the paper measures: the value of table context.
 
 The lake is collected to the driver once per build
-(``collect_table_views``), and both stages read those views. Training
-pools every column's base vector once and re-pools only the columns
-``sample_row`` rewrote; inference (``infer_embeddings``) runs
+(``collect_table_views``), and both stages read those views. The
+collected lake holds each distinct cell unit once: one float32 matrix of
+(distinct units × d) unit vectors, which each column indexes with one row
+per unit, so driver memory follows the lake's distinct cells, not its
+cell count. Query tables (``table_view``) are interned the same way.
+Training pools every column's base vector once and re-pools only the
+columns ``sample_row`` rewrote; inference (``infer_embeddings``) runs
 ``encode_view`` on each collected table on the driver, the same
-``table_view`` → ``encode_view`` path as training.
+featurization and forward pass as training.
 """
 from __future__ import annotations
 
@@ -28,12 +32,13 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 from pyspark.ml.feature import Word2Vec
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .augment import ColumnView, TableView, aligned_pairs, apply_op
+from .augment import ColumnView, TableView, Units, aligned_pairs, apply_op
 from .contrastive import Adam, TAU_DEFAULT, loss_and_grad, normalize_rows
 
 
@@ -88,44 +93,75 @@ def train_word2vec(
     return Embedder(vectors=vecs, dim=dim)
 
 
-def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
-    """One table as a ``TableView``, the encoder's input in training and inference.
+def _intern(cols: pa.ListArray, embedder: Embedder) -> tuple[Units, list[np.ndarray]]:
+    """Each distinct unit of ``cols`` once, and the rows of every column's units.
 
-    ``cols`` yields ``(col_idx, units)`` per column, in column order.
-    ``units`` (a list of token lists) is kept as given, not copied.
+    ``cols`` holds one list of units (token lists) per column. Its tokens are
+    dictionary-encoded, units of equal length are compared as rows of token
+    ids, and each distinct unit is pooled once by ``Embedder.unit_vecs``, so
+    every unit vector has the bits a unit-by-unit ``unit_vecs`` gives it.
     """
-    views = [ColumnView(int(col_idx), units, embedder.unit_vecs(units))
-             for col_idx, units in cols]
-    return TableView(table_id=table_id, cols=views)
+    units = cols.flatten()
+    tokens = units.flatten().dictionary_encode()
+    ids = tokens.indices.to_numpy()
+    start = units.offsets.to_numpy()
+    start = start - start[0]
+    lens = np.diff(start)
+    rows = np.empty(len(lens), dtype=np.int32)
+    first: list[int] = []  # the first occurrence of each distinct unit, by row
+    for n in np.unique(lens).tolist():
+        at = np.flatnonzero(lens == n)
+        _, i, inv = np.unique(ids[start[at, None] + np.arange(n)], axis=0,
+                              return_index=True, return_inverse=True)
+        rows[at] = inv + len(first)
+        first.extend(at[i].tolist())
+    vocab = tokens.dictionary.to_pylist()
+    distinct = [[vocab[t] for t in ids[start[u] : start[u + 1]].tolist()] for u in first]
+    col_start = cols.offsets.to_numpy()
+    col_start = col_start - col_start[0]
+    return (Units(distinct, embedder.unit_vecs(distinct)),
+            np.split(rows, col_start[1:-1]))
 
 
-_VIEW_COLS = ("col_idx", "units")
+def table_view(table_id: str, cols, embedder: Embedder) -> TableView:
+    """One table as a ``TableView``: the ML study's query tables.
+
+    ``cols`` yields ``(col_idx, units)`` per column, in column order. The
+    table's units are interned as ``collect_table_views`` interns the lake's.
+    """
+    cols = list(cols)
+    units = pa.array([u for _, u in cols], type=pa.list_(pa.list_(pa.string())))
+    distinct, rows = _intern(units, embedder)
+    return TableView(table_id, [ColumnView(int(i), r, distinct)
+                                for (i, _), r in zip(cols, rows)])
 
 
 def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, TableView]:
     """Collect the preprocessed lake to driver-side TableViews, once per build.
 
     Training and inference both read these views; ground-truth labels
-    stay in the ``Lake``. Lite lakes hold ≤ a few hundred thousand selected
-    tokens, so this is small; the encoder's two 64×64 matrices make a
-    distributed optimizer pure overhead (see DESIGN.md §3).
+    stay in the ``Lake``. The lake arrives as one Arrow table and each
+    distinct unit is held once: one ``Units`` table of (distinct units × d)
+    float32 vectors, which every column indexes with one int32 row per
+    unit. Lakes repeat cell values, so that is small (``tus_large_lite``:
+    4,635 distinct of 149,397 units); the encoder's two 64×64 matrices make
+    a distributed optimizer pure overhead (see DESIGN.md §3).
     """
-    rows = prep_df.select("table_id", *_VIEW_COLS).collect()
-    grouped: dict[str, list] = {}
-    for r in rows:
-        grouped.setdefault(r["table_id"], []).append(r)
-    out: dict[str, TableView] = {}
-    for tid, rs in grouped.items():
-        rs.sort(key=lambda r: r["col_idx"])
-        out[tid] = table_view(tid, [r[1:] for r in rs], embedder)
-    return out
+    lake = prep_df.select("table_id", "col_idx", "units").toArrow()
+    distinct, rows = _intern(lake.column("units").combine_chunks(), embedder)
+    grouped: dict[str, list[ColumnView]] = {}
+    for tid, col_idx, r in zip(lake.column("table_id").to_pylist(),
+                               lake.column("col_idx").to_pylist(), rows):
+        grouped.setdefault(tid, []).append(ColumnView(col_idx, r, distinct))
+    return {tid: TableView(tid, sorted(cs, key=lambda c: c.col_id))
+            for tid, cs in grouped.items()}
 
 
 def base_vectors(cols: list[ColumnView], dim: int) -> np.ndarray:
     """Per-column base vector: mean of the column's unit vectors."""
     b = np.zeros((len(cols), dim), dtype=np.float64)
     for i, c in enumerate(cols):
-        if len(c.vecs):
+        if len(c.rows):
             b[i] = c.vecs.mean(axis=0)
     return b
 

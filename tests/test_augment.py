@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.augment import OPS, ColumnView, TableView, aligned_pairs, apply_op
+from repro.core.augment import OPS, ColumnView, TableView, Units, aligned_pairs, apply_op
 
 
 def make_view(n_cols=4, n_units=8, d=6, seed=0):
@@ -10,8 +10,8 @@ def make_view(n_cols=4, n_units=8, d=6, seed=0):
     cols = []
     for i in range(n_cols):
         units = [[f"c{i}u{j}", f"c{i}x{j}"] for j in range(n_units)]
-        cols.append(ColumnView(col_id=i, units=units,
-                               vecs=g.normal(size=(n_units, d)).astype(np.float32)))
+        vecs = g.normal(size=(n_units, d)).astype(np.float32)
+        cols.append(ColumnView(col_id=i, rows=np.arange(n_units), distinct=Units(units, vecs)))
     return TableView("t", cols)
 
 

@@ -12,14 +12,16 @@ import pytest
 from numpy.core._multiarray_umath import __cpu_features__
 
 import repro
-from repro.core.augment import ColumnView, TableView
+from repro.core.augment import ColumnView, TableView, Units
 from repro.core.encoder import (
+    Embedder,
     MultiColumnEncoder,
     SingleColEncoder,
     base_vectors,
     collect_table_views,
     context_vectors,
     infer_embeddings,
+    table_view,
 )
 from repro.experiments.common import build_method, train_encoder
 from repro.search.engine import TableStore
@@ -93,6 +95,53 @@ def test_base_vectors_mean_of_units(views):
     for i, c in enumerate(v.cols):
         if len(c.vecs):
             assert np.allclose(b[i], c.vecs.mean(axis=0), atol=1e-6)
+
+
+def _random_lake(seed):
+    """A lake of repeated units, empty columns (and an empty unit), and
+    tokens half of which the embedder lacks."""
+    g = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(30)]
+    embedder = Embedder({t: g.normal(size=8).astype(np.float32) for t in vocab[:15]}, 8)
+    pool = [[str(w) for w in g.choice(vocab, size=g.integers(1, 5))] for _ in range(25)] + [[]]
+    lake = {}
+    for t in range(12):
+        lake[f"t{t}"] = [[pool[i] for i in g.integers(len(pool), size=g.integers(0, 10))]
+                         for _ in range(g.integers(1, 5))]
+    return embedder, lake
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interned_views_equal_unit_by_unit_reference(spark, seed):
+    """``collect_table_views`` and ``table_view`` hold each distinct unit once
+    and give every column the units and vector bytes that pooling it unit by
+    unit with ``Embedder.unit_vecs`` gives, so ``encode_view`` is unchanged."""
+    embedder, lake = _random_lake(seed)
+    enc = MultiColumnEncoder(d_in=8, seed=seed)
+    rows = [(t, j, units) for t, cols in lake.items() for j, units in enumerate(cols)]
+    df = spark.createDataFrame(
+        rows[::-1], "table_id string, col_idx int, units array<array<string>>").repartition(3)
+    collected = collect_table_views(df, embedder)
+    assert set(collected) == set(lake)
+    for views, distinct_units in [
+        (collected, {tuple(u) for cols in lake.values() for units in cols for u in units}),
+        *[({t: table_view(t, enumerate(cols), embedder)},
+           {tuple(u) for units in cols for u in units}) for t, cols in lake.items()],
+    ]:
+        shared = next(iter(views.values())).cols[0].distinct
+        assert len(shared.tokens) == len(shared.vecs) == len(distinct_units)
+        assert {tuple(u) for u in shared.tokens} == distinct_units
+        for t, view in views.items():
+            reference = TableView(t, [
+                ColumnView(j, np.arange(len(units)), Units(units, embedder.unit_vecs(units)))
+                for j, units in enumerate(lake[t])])
+            assert [c.col_id for c in view.cols] == list(range(len(lake[t])))
+            for c, r in zip(view.cols, reference.cols):
+                assert c.distinct is shared
+                assert c.units == r.units
+                assert c.vecs.dtype == np.float32
+                assert c.vecs.tobytes() == r.vecs.tobytes()
+            assert np.array_equal(enc.encode_view(view), enc.encode_view(reference))
 
 
 def test_context_vectors_excludes_self():
@@ -231,7 +280,8 @@ def test_training_stays_finite_without_negatives(cls):
     ends on the one-column table has a batch of one positive pair and no
     negatives, which must make no step rather than turn W1/W2 into NaN."""
     g = np.random.default_rng(0)
-    cols = [ColumnView(i % 3, [["tok"]] * 5, g.normal(size=(5, 64)).astype(np.float32))
+    cols = [ColumnView(i % 3, np.arange(5),
+                       Units([["tok"]] * 5, g.normal(size=(5, 64)).astype(np.float32)))
             for i in range(25)]
     lake = {f"t{t}": TableView(f"t{t}", cols[3 * t : 3 * t + 3]) for t in range(8)}
     lake["t8"] = TableView("t8", cols[24:])

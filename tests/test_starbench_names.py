@@ -59,6 +59,25 @@ def test_lsh_engine_calls_traced_methods():
     assert t.calls["search.lsh.query"] == t.calls["search.engine.query"] == 3
 
 
+def test_units_kept_counts_every_collected_unit(prep_santos):
+    """The traced ``collect_table_views`` counts every unit of the preprocessed
+    lake. Its observer reads ``ColumnView.units`` and reports 0 when a view no
+    longer has that shape, so this is the only check on ``units_kept``."""
+    from pyspark.sql import functions as F
+
+    from repro.experiments import common
+
+    layers = [layer for layer in _T.OFFLINE_LAYERS if layer[2] == "collect_table_views"]
+    t = _T.Tracer(layers)
+    try:
+        common.collect_table_views(prep_santos.prep_df, prep_santos.embedder)
+    finally:
+        t.restore()
+    n_units = prep_santos.prep_df.select(F.sum(F.size("units"))).first()[0]
+    assert n_units > 0
+    assert t.values["core.preprocess.units_kept"] == n_units
+
+
 def test_store_capture_name_resolves():
     assert "from_embeddings_df" in TableStore.__dict__
 
