@@ -96,18 +96,23 @@ def pattern_signature(cell: str) -> str:
     return "".join(out)
 
 
-def format_block(cells: list[str], dim: int = 16) -> np.ndarray:
-    v = np.zeros(dim)
+# Hashed dimensions of the ``format`` and ``hashset`` blocks.
+FORMAT_DIM = 16
+HASHSET_DIM = 256
+
+
+def format_block(cells: list[str]) -> np.ndarray:
+    v = np.zeros(FORMAT_DIM)
     for c in cells:
         if c:
-            v[_hash_idx(pattern_signature(c), dim)] += 1
+            v[_hash_idx(pattern_signature(c), FORMAT_DIM)] += 1
     return _l2(v)
 
 
-def hashset_block(tokens: list[str], dim: int = 256) -> np.ndarray:
-    v = np.zeros(dim)
+def hashset_block(tokens: list[str]) -> np.ndarray:
+    v = np.zeros(HASHSET_DIM)
     for t in set(tokens):
-        v[_hash_idx(t, dim)] = 1.0
+        v[_hash_idx(t, HASHSET_DIM)] = 1.0
     return _l2(v)
 
 

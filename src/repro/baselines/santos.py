@@ -27,7 +27,17 @@ def _covered(value: str, coverage: float) -> bool:
     return (h % 10_000) / 10_000.0 < coverage
 
 
-def build_kb(coverage: float = 0.8) -> dict[str, str]:
+# Share of text values the synthetic KB covers. 0.5 calibrates it to
+# YAGO-like incompleteness on open data; with full coverage SANTOS becomes
+# an oracle on class-partitioned synthetic lakes (it reads the hidden type
+# labels), which no real KB achieves.
+KB_COVERAGE = 0.5
+# A column's majority KB type annotates it when it covers at least this
+# share of the column's non-empty cells.
+MIN_HIT = 0.3
+
+
+def build_kb(coverage: float) -> dict[str, str]:
     """value (lowercased) → KB type, over text-type vocabularies only."""
     kb: dict[str, str] = {}
     for name, spec in TYPES.items():
@@ -45,8 +55,8 @@ class SantosAnnotation:
     rels: set[tuple[str, str]]  # sorted type pairs co-occurring in the table
 
 
-def annotate_table(cols: list[dict], kb: dict[str, str], min_hit: float = 0.3) -> SantosAnnotation:
-    """Column type = majority KB type over covered cells (≥ min_hit hit rate)."""
+def annotate_table(cols: list[dict], kb: dict[str, str]) -> SantosAnnotation:
+    """Column type = majority KB type over covered cells (≥ ``MIN_HIT`` hit rate)."""
     types: dict[int, str] = {}
     for c in cols:
         votes: dict[str, int] = {}
@@ -61,7 +71,7 @@ def annotate_table(cols: list[dict], kb: dict[str, str], min_hit: float = 0.3) -
         if not votes or n == 0:
             continue
         best, cnt = max(votes.items(), key=lambda kv: kv[1])
-        if cnt / n >= min_hit:
+        if cnt / n >= MIN_HIT:
             types[c["col_idx"]] = best
     tl = sorted(types.values())
     rels = {
@@ -71,16 +81,10 @@ def annotate_table(cols: list[dict], kb: dict[str, str], min_hit: float = 0.3) -
 
 
 class SantosRanker:
-    """Linear-scan union search over KB annotations.
+    """Linear-scan union search over KB annotations (a KB of ``KB_COVERAGE``)."""
 
-    ``coverage=0.5`` calibrates the synthetic KB to YAGO-like
-    incompleteness on open data; with full coverage SANTOS becomes an
-    oracle on class-partitioned synthetic lakes (it reads the hidden
-    type labels), which no real KB achieves.
-    """
-
-    def __init__(self, tables: dict[str, list[dict]], coverage: float = 0.5):
-        self.kb = build_kb(coverage)
+    def __init__(self, tables: dict[str, list[dict]]):
+        self.kb = build_kb(KB_COVERAGE)
         self.ann = {tid: annotate_table(cols, self.kb) for tid, cols in tables.items()}
 
     def score(self, q: str, t: str) -> float:
@@ -104,6 +108,8 @@ class SantosRanker:
         return 0.5 * type_score + 0.5 * rel_score
 
     def query(self, q: str, k: int) -> list[tuple[str, float]]:
-        scored = [(t, self.score(q, t)) for t in self.ann]
+        """The first ``k`` tables in (score desc, table id asc) order among
+        those scoring above 0, as ``SearchEngine.query`` lists them."""
+        scored = [(t, s) for t in self.ann if (s := self.score(q, t)) > 0]
         scored.sort(key=lambda e: (-e[1], e[0]))
         return scored[:k]

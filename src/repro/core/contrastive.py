@@ -17,11 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 TAU_DEFAULT = 0.07
+# Rows with a norm below this are zero rows (empty columns).
+NORM_EPS = 1e-12
+# Adam's moment decay rates and denominator term.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
-def normalize_rows(u: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def normalize_rows(u: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(u, axis=1, keepdims=True)
-    return u / np.maximum(n, eps)
+    return u / np.maximum(n, NORM_EPS)
 
 
 def _loss_grad_z(
@@ -72,34 +77,32 @@ def loss_and_grad(
     Zero rows (empty columns) get zero gradient.
     """
     norms = np.linalg.norm(u, axis=1, keepdims=True)
-    safe = np.maximum(norms, 1e-12)
+    safe = np.maximum(norms, NORM_EPS)
     z = u / safe
     loss, dz = _loss_grad_z(z, pairs, tau)
     du = (dz - (np.sum(dz * z, axis=1, keepdims=True)) * z) / safe
-    du[norms[:, 0] < 1e-12] = 0.0
+    du[norms[:, 0] < NORM_EPS] = 0.0
     return loss, du
 
 
 class Adam:
     """Minimal Adam optimizer over a list of numpy parameter arrays."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-2,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
+        b1, b2 = ADAM_BETAS
         self.t += 1
         for p, gr, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * gr
-            v *= self.b2
-            v += (1 - self.b2) * gr * gr
-            mh = m / (1 - self.b1**self.t)
-            vh = v / (1 - self.b2**self.t)
-            p -= self.lr * mh / (np.sqrt(vh) + self.eps)
+            m *= b1
+            m += (1 - b1) * gr
+            v *= b2
+            v += (1 - b2) * gr * gr
+            mh = m / (1 - b1**self.t)
+            vh = v / (1 - b2**self.t)
+            p -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)

@@ -65,23 +65,24 @@ class Embedder:
         return np.stack([self.tokens_vec(u) for u in units])
 
 
-def train_word2vec(
-    prep_df: DataFrame,
-    *,
-    dim: int = 64,
-    window: int = 8,
-    min_count: int = 1,
-    max_iter: int = 2,
-    seed: int = 42,
-) -> Embedder:
+# Word2Vec pre-training: 64-d vectors over a window of 8, every token kept
+# (min count 1), 2 iterations, seed 42.
+W2V_DIM = 64
+W2V_WINDOW = 8
+W2V_MIN_COUNT = 1
+W2V_MAX_ITER = 2
+W2V_SEED = 42
+
+
+def train_word2vec(prep_df: DataFrame) -> Embedder:
     """Pre-train token embeddings on the serialized lake (one sentence per column)."""
     sent = prep_df.select(F.flatten("units").alias("text")).where(F.size("text") > 0)
     w2v = Word2Vec(
-        vectorSize=dim,
-        windowSize=window,
-        minCount=min_count,
-        maxIter=max_iter,
-        seed=seed,
+        vectorSize=W2V_DIM,
+        windowSize=W2V_WINDOW,
+        minCount=W2V_MIN_COUNT,
+        maxIter=W2V_MAX_ITER,
+        seed=W2V_SEED,
         inputCol="text",
         outputCol="vec",
     )
@@ -90,7 +91,7 @@ def train_word2vec(
         r["word"]: np.asarray(r["vector"].toArray(), dtype=np.float32)
         for r in model.getVectors().collect()
     }
-    return Embedder(vectors=vecs, dim=dim)
+    return Embedder(vectors=vecs, dim=W2V_DIM)
 
 
 def _intern(cols: pa.ListArray, embedder: Embedder) -> tuple[Units, list[np.ndarray]]:
@@ -226,6 +227,11 @@ class TrainStats:
     losses: list[float]
 
 
+# The encoders' output dimension, and the tables per Alg. 1 batch.
+D_OUT = 64
+BATCH_TABLES = 8
+
+
 class MultiColumnEncoder:
     """Starmie's contextualized column encoder (trainable W1, W2)."""
 
@@ -236,12 +242,12 @@ class MultiColumnEncoder:
     # vectors), so every lake uses it (DESIGN.md §2).
     OP = "drop_col"
 
-    def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
+    def __init__(self, d_in: int, seed: int = 0):
         g = np.random.default_rng(seed)
-        self.d_in, self.d_out = d_in, d_out
+        self.d_in = d_in
         scale = 1.0 / np.sqrt(d_in)
-        self.W1 = np.eye(d_out, d_in) + g.normal(0, 0.01, (d_out, d_in))
-        self.W2 = g.normal(0, 0.01 * scale, (d_out, d_in))
+        self.W1 = np.eye(D_OUT, d_in) + g.normal(0, 0.01, (D_OUT, d_in))
+        self.W2 = g.normal(0, 0.01 * scale, (D_OUT, d_in))
 
     # -- forward ----------------------------------------------------------
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -253,14 +259,7 @@ class MultiColumnEncoder:
 
     # -- training (Algorithm 1, multi-column variant of §3.3) -------------
     def train(
-        self,
-        tables: dict[str, TableView],
-        *,
-        n_epochs: int = 12,
-        batch_tables: int = 8,
-        lr: float = 5e-3,
-        tau: float = TAU_DEFAULT,
-        seed: int = 0,
+        self, tables: dict[str, TableView], *, n_epochs: int, lr: float, seed: int = 0,
     ) -> TrainStats:
         rng = np.random.default_rng(seed)
         opt = Adam([self.W1, self.W2], lr=lr)
@@ -269,9 +268,9 @@ class MultiColumnEncoder:
         losses: list[float] = []
         for _ in range(n_epochs):
             order = rng.permutation(len(tids))
-            for s in range(0, len(tids), batch_tables):
-                batch = [tables[tids[i]] for i in order[s : s + batch_tables]]
-                loss = self._step(lake, batch, rng, opt, tau)
+            for s in range(0, len(tids), BATCH_TABLES):
+                batch = [tables[tids[i]] for i in order[s : s + BATCH_TABLES]]
+                loss = self._step(lake, batch, rng, opt)
                 if loss is not None:
                     losses.append(loss)
         return TrainStats(losses=losses)
@@ -280,7 +279,7 @@ class MultiColumnEncoder:
         """The batch's training items, each augmented by ``OP``."""
         return batch
 
-    def _step(self, lake, batch, rng, opt, tau) -> float | None:
+    def _step(self, lake, batch, rng, opt) -> float | None:
         """One Adam step on ``batch``, or ``None`` and no step for a batch of
         fewer than three rows, whose Eq. 1 denominators are empty (NaN loss)."""
         items = self._items(batch)
@@ -296,7 +295,7 @@ class MultiColumnEncoder:
             return None
         b, c = lake.features(views)
         u = self.forward(b, c)
-        loss, du = loss_and_grad(u, pairs, tau)
+        loss, du = loss_and_grad(u, pairs, TAU_DEFAULT)
         opt.step([du.T @ b, du.T @ c])
         return loss
 
@@ -309,8 +308,8 @@ class SingleColEncoder(MultiColumnEncoder):
     # op becomes the row-level one.
     OP = "sample_row"
 
-    def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
-        super().__init__(d_in, d_out, seed)
+    def __init__(self, d_in: int, seed: int = 0):
+        super().__init__(d_in, seed)
         self.W2 = np.zeros_like(self.W2)
 
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:

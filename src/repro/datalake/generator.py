@@ -87,7 +87,13 @@ class Lake:
     rows: list[dict] = field(default_factory=list)
 
     def tables(self) -> dict[str, list[dict]]:
-        """Group driver-side column rows by table_id (insertion order)."""
+        """Group driver-side column rows by table_id (insertion order).
+
+        A lake built without them (such as one read back from parquet)
+        raises ``ValueError``: its tables are in ``df`` alone.
+        """
+        if not self.rows:
+            raise ValueError(f"lake {self.name!r} holds no driver-side rows")
         out: dict[str, list[dict]] = {}
         for r in self.rows:
             out.setdefault(r["table_id"], []).append(r)
@@ -339,12 +345,3 @@ def build_benchmark(spark: SparkSession, name: str, scale: float = 1.0) -> Lake:
     if name == "wdc_lite":
         return wdc_lake(spark, name=name, n_tables=max(50, int(8000 * s)))
     raise ValueError(f"unknown benchmark {name!r}")
-
-
-BENCHMARKS = (
-    "santos_small_lite",
-    "tus_small_lite",
-    "tus_large_lite",
-    "santos_large_lite",
-    "wdc_lite",
-)

@@ -80,10 +80,7 @@ def lake_stats(df: DataFrame, name: str, size_bytes: int | None = None) -> LakeS
         .collect()[0]
     )
     if size_bytes is None:
-        try:
-            size_bytes = dataset_bytes(name)
-        except FileNotFoundError:
-            size_bytes = 0
+        size_bytes = dataset_bytes(name)
     return LakeStats(
         name=name,
         n_tables=int(agg["n_tables"]),

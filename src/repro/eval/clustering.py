@@ -61,7 +61,7 @@ def column_labels(store: TableStore, tables: dict[str, list[dict]]) -> list[str]
     return [c["sem_type"] for tid in store.table_ids for c in tables[tid]]
 
 
-def cluster_columns(vecs: np.ndarray, labels: list[str], *, theta: float = 0.6) -> ClusteringResult:
+def cluster_columns(vecs: np.ndarray, labels: list[str], *, theta: float) -> ClusteringResult:
     """The Table 10 pipeline: graph at θ → components → purity vs sem_type."""
     comp = connected_components(similarity_edges(vecs, theta), len(labels))
     n = len(set(comp))

@@ -37,6 +37,9 @@ from ..core.tokenize import tokenize_cell
 from ..datalake.generator import Lake, _domain_columns, _to_lake
 from ..datalake.vocab import DOMAINS, TYPES
 
+# Every task's regression target: the query table's rating column.
+TARGET = "Rating"
+
 
 @dataclass
 class MLTask:
@@ -47,9 +50,9 @@ class MLTask:
 
 
 def build_ml_corpus(
-    spark: SparkSession, *, n_tasks: int = 25, n_filler: int = 40, seed: int = 31
+    spark: SparkSession, *, n_tasks: int, n_filler: int, seed: int
 ) -> tuple[list[MLTask], Lake]:
-    """Synthetic WDC-ML corpus: 25 tasks + good/decoy/filler lake tables."""
+    """Synthetic WDC-ML corpus: ``n_tasks`` tasks + good/decoy/filler lake tables."""
     g = np.random.default_rng(seed)
     person_pool = np.asarray(TYPES["person_name"].pool, dtype=object)
     state_pool = np.asarray(TYPES["state"].pool, dtype=object)
@@ -100,7 +103,7 @@ def build_ml_corpus(
                 "State": g.choice(q_states, n_rows),
                 "Category": g.choice(party_pool, n_rows),
                 "WeakNum": np.round(weak, 3),
-                "Rating": np.round(rating, 4),
+                TARGET: np.round(rating, 4),
             }
         )
         # good table: congress-votes-like context; the hidden feature is
@@ -191,7 +194,7 @@ def retrieve_syntactic(
     q_sets = {
         c: _col_tokens(task.query_pdf[c].astype(str).tolist())
         for c in task.query_pdf.columns
-        if c != "Rating" and task.query_pdf[c].dtype == object
+        if c != TARGET and task.query_pdf[c].dtype == object
     }
     tables = lake.tables()
     best_tid, best_qc, best_ci, best_score = None, None, None, -1.0
@@ -240,7 +243,7 @@ def retrieve_starmie(
 ) -> tuple[str, str, int]:
     """argmax_T [max cos(s_i,t_j) + max cos(s_target,t_j)] (Appendix F)."""
     tables = lake.tables()
-    target_i = qcols.index("Rating")
+    target_i = qcols.index(TARGET)
     # textual join keys only — same restriction as the syntactic methods
     nontarget = [
         i for i, c in enumerate(qcols)
@@ -289,16 +292,14 @@ def augment_with_join(
 _TEXT_PROJ_DIM = 6
 
 
-def _featurize(
-    df: DataFrame, embedder: Embedder, label: str = "Rating"
-) -> tuple[DataFrame, list[str]]:
+def _featurize(df: DataFrame, embedder: Embedder) -> tuple[DataFrame, list[str]]:
     """Numeric columns as doubles; text columns → projected mean embedding."""
     g = np.random.default_rng(99)
     proj = g.normal(size=(embedder.dim, _TEXT_PROJ_DIM)).astype(np.float32)
     pdf = df.toPandas()
     feats: dict[str, np.ndarray] = {}
     for c in pdf.columns:
-        if c == label:
+        if c == TARGET:
             continue
         num = pd.to_numeric(pdf[c], errors="coerce")
         if num.notna().mean() > 0.6:
@@ -310,21 +311,23 @@ def _featurize(
             for d in range(_TEXT_PROJ_DIM):
                 feats[f"f_{c}_{d}"] = vecs[:, d]
     out = pd.DataFrame(feats)
-    out["label"] = pd.to_numeric(pdf[label], errors="coerce").fillna(0.0)
+    out["label"] = pd.to_numeric(pdf[TARGET], errors="coerce").fillna(0.0)
     fcols = [c for c in out.columns if c != "label"]
     return df.sparkSession.createDataFrame(out), fcols
 
 
-def train_eval_gbt(
-    df: DataFrame, embedder: Embedder, *, seed: int = 5, max_iter: int = 12
-) -> float:
+# Seed of the train/test split and of the GBT.
+GBT_SEED = 5
+
+
+def train_eval_gbt(df: DataFrame, embedder: Embedder, *, max_iter: int) -> float:
     """4:1 split → GBTRegressor → test MSE (the Table 11 cell)."""
     fdf, fcols = _featurize(df, embedder)
     assembled = VectorAssembler(inputCols=fcols, outputCol="features").transform(fdf)
-    train, test = assembled.randomSplit([0.8, 0.2], seed=seed)
+    train, test = assembled.randomSplit([0.8, 0.2], seed=GBT_SEED)
     gbt = GBTRegressor(
         featuresCol="features", labelCol="label",
-        maxIter=max_iter, maxDepth=3, seed=seed, stepSize=0.2,
+        maxIter=max_iter, maxDepth=3, seed=GBT_SEED, stepSize=0.2,
     )
     model = gbt.fit(train)
     pred = model.transform(test)
@@ -335,13 +338,8 @@ def train_eval_gbt(
 
 
 def run_ml_discovery(
-    spark: SparkSession,
-    *,
-    n_tasks: int = 25,
-    n_filler: int = 40,
-    seed: int = 31,
-    epochs: int = 8,
-    gbt_iter: int = 12,
+    spark: SparkSession, *, n_tasks: int, n_filler: int, seed: int, epochs: int,
+    gbt_iter: int,
 ) -> pd.DataFrame:
     """Full Table 7/11 harness. Returns per-task MSE per method."""
     from ..experiments.common import build_method, prepare

@@ -32,8 +32,6 @@ from ..datalake.generator import Lake
 from ..search.engine import QueryStats, SearchEngine, TableStore
 
 LEARNED_METHODS = ("starmie", "singlecol")  # contrastively trained (Alg. 1)
-VECTOR_METHODS = LEARNED_METHODS + ("sato", "sherlock", "d3l")
-ALL_METHODS = VECTOR_METHODS + ("santos",)
 
 # Column-unionability thresholds τ per representation. The trained
 # encoders produce sharply separated cosines; the feature baselines'
@@ -65,7 +63,8 @@ def prepare(spark: SparkSession, lake: Lake) -> Prepared:
     """Tokenize, score, preprocess (Alg. 2) and pre-train Word2Vec on a lake.
 
     The token budget is ``core.preprocess.BUDGET`` and the Word2Vec
-    settings are the defaults of ``train_word2vec`` (DESIGN.md §3).
+    settings are the ``W2V_*`` constants beside ``train_word2vec``
+    (DESIGN.md §3).
     """
     tokens_df = tokenize_lake(lake.df).persist()
     idf = idf_map(tokens_df)

@@ -179,11 +179,12 @@ def table6_memory(
 
 def table7_ml(
     spark: SparkSession, *, n_tasks: int = 25, n_filler: int = 40,
-    seed: int = 31, gbt_iter: int = 12,
+    seed: int = 31, epochs: int = 8, gbt_iter: int = 12,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Tables 7 + 11: ML data-discovery case study."""
     detail = run_ml_discovery(
-        spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed, gbt_iter=gbt_iter
+        spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed, epochs=epochs,
+        gbt_iter=gbt_iter,
     )
     return summarize_ml(detail), detail
 

@@ -98,7 +98,8 @@ class SearchEngine:
     _owner_pos: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        assert self.mode in MODES, self.mode
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; one of {MODES}")
         if self.mode in ("lsh", "hnsw"):
             vecs, self._owner_pos = self.store.flat()
             if self.mode == "lsh":

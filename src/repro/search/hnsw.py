@@ -106,12 +106,13 @@ class HNSW:
             self.max_level = level
             self.entry = node
 
-    def search(self, q: np.ndarray, k: int, ef: int | None = None) -> list[tuple[int, float]]:
-        """Top-k (id, cosine-similarity) approximate nearest neighbors."""
+    def search(self, q: np.ndarray, k: int, ef: int) -> list[tuple[int, float]]:
+        """Top-k (id, cosine-similarity) approximate nearest neighbors, from a
+        beam of width ``max(ef, k)``."""
         if self.entry < 0:
             return []
         q = np.asarray(q, dtype=np.float32)
-        ef = max(ef or 32, k)
+        ef = max(ef, k)
         ep = [self.entry]
         for lv in range(self.max_level, 0, -1):
             ep = [self._search_layer(q, ep, 1, lv)[0][1]]

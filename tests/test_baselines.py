@@ -166,6 +166,17 @@ def test_santos_ranker_prefers_same_domain(tiny_santos):
     assert same >= 3
 
 
+def test_santos_lists_only_scoring_tables(tiny_santos):
+    """A query table whose cells the KB does not cover scores 0 against every
+    table, and SANTOS, like ``SearchEngine.query``, lists no table at 0."""
+    tables = tiny_santos.tables()
+    tables["numbers"] = [{"col_idx": 0, "cells": ["1999", "2001", "2005"]}]
+    ranker = SantosRanker(tables)
+    assert ranker.query("numbers", 5) == []
+    ranked = ranker.query(tiny_santos.queries[0], len(tables))
+    assert ranked and all(s > 0 for _, s in ranked)
+
+
 def test_santos_score_self_maximal(tiny_santos):
     ranker = SantosRanker(tiny_santos.tables())
     q = tiny_santos.queries[0]

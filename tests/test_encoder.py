@@ -157,7 +157,7 @@ def test_context_vector_single_column():
 
 def test_training_reduces_loss(views):
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    stats = enc.train(views, n_epochs=6, seed=0)
+    stats = enc.train(views, n_epochs=6, lr=5e-3, seed=0)
     first = np.mean(stats.losses[: len(stats.losses) // 5])
     last = np.mean(stats.losses[-len(stats.losses) // 5 :])
     assert last < first
@@ -165,7 +165,7 @@ def test_training_reduces_loss(views):
 
 def test_singlecol_training_reduces_loss(views):
     enc = SingleColEncoder(d_in=64, seed=0)
-    stats = enc.train(views, n_epochs=4, seed=0)
+    stats = enc.train(views, n_epochs=4, lr=5e-3, seed=0)
     assert np.mean(stats.losses[-5:]) < np.mean(stats.losses[:5])
 
 
@@ -188,7 +188,7 @@ def test_singlecol_ignores_context(views):
 
 def test_multicolumn_uses_context(views):
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    enc.train(views, n_epochs=4, seed=0)
+    enc.train(views, n_epochs=4, lr=5e-3, seed=0)
     view = next(v for v in views.values() if len(v.cols) >= 3)
     z_full = enc.encode_view(view)
     sub = TableView(view.table_id, view.cols[:-1])
@@ -286,7 +286,7 @@ def test_training_stays_finite_without_negatives(cls):
     lake = {f"t{t}": TableView(f"t{t}", cols[3 * t : 3 * t + 3]) for t in range(8)}
     lake["t8"] = TableView("t8", cols[24:])
     enc = cls(d_in=64, seed=0)
-    losses = enc.train(lake, n_epochs=40, seed=0).losses
+    losses = enc.train(lake, n_epochs=40, lr=5e-3, seed=0).losses
     assert len(losses) < 40 * 2  # some epoch ended on the one-column table
     assert np.isfinite(losses).all()
     assert np.isfinite(enc.W1).all() and np.isfinite(enc.W2).all()
@@ -302,7 +302,7 @@ def _infer(prep, views, enc):
 def test_stored_vectors_equal_encode_view(prep_santos, views, cls):
     """Every table's stored vectors are its ``encode_view`` in float32, exactly."""
     enc = cls(d_in=64, seed=3)
-    enc.train(views, n_epochs=1, seed=0)
+    enc.train(views, n_epochs=1, lr=5e-3, seed=0)
     store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
     assert store.table_ids == sorted(views)
     for tid, view in views.items():
@@ -329,7 +329,7 @@ def test_trained_encoder_separates_ambiguous_columns(prep_santos, views, tiny_sa
     """The core claim (Fig. 1): context separates same-vocab columns from
     different domains; training must not collapse them together."""
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    enc.train(views, n_epochs=8, seed=0)
+    enc.train(views, n_epochs=8, lr=5e-3, seed=0)
     store = TableStore.from_embeddings_df(_infer(prep_santos, views, enc))
     tables = tiny_santos.tables()
     by_dom: dict[str, list[np.ndarray]] = {}

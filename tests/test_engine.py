@@ -284,7 +284,7 @@ def test_store_flat_consistent(store):
 
 
 def test_invalid_mode_rejected(store):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SearchEngine(store=store, mode="fancy")
 
 

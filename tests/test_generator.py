@@ -1,18 +1,21 @@
 """Lake generators: schemas, ground truth, provenance, and oracle-checked stats."""
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from pyspark.sql import functions as F
 
 from repro.datalake import io as lake_io
 from repro.datalake.generator import (
+    Lake,
     build_benchmark,
     microbench_lake,
     santos_lake,
     tus_lake,
     wdc_lake,
 )
+from repro.experiments.common import build_method
 from repro.oracle import assert_equivalent
 
 
@@ -130,6 +133,17 @@ def test_tus_style_lakes_pinned(spark):
     mb = microbench_lake(spark, n_negative_classes=3, n_tables=24, n_queries=3)
     assert _rows_sha256(tus) == TUS_ROWS_SHA256
     assert _rows_sha256(mb) == MICROBENCH_ROWS_SHA256
+
+
+def test_lake_without_rows_has_no_tables(tiny_santos):
+    """A lake built from its DataFrame alone (as one read back from parquet)
+    names itself in a ``ValueError`` rather than listing no tables, so SANTOS
+    cannot rank against an empty lake."""
+    lake = Lake(name="read_back", df=tiny_santos.df, queries=tiny_santos.queries)
+    with pytest.raises(ValueError, match="read_back"):
+        lake.tables()
+    with pytest.raises(ValueError, match="read_back"):
+        build_method(SimpleNamespace(lake=lake), "santos")
 
 
 def test_build_benchmark_registry(spark):

@@ -78,14 +78,14 @@ def test_incremental_add():
 
 def test_empty_index():
     idx = HNSW(8)
-    assert idx.search(np.ones(8, dtype=np.float32), 3) == []
+    assert idx.search(np.ones(8, dtype=np.float32), 3, ef=32) == []
 
 
 def test_single_element():
     idx = HNSW(8, seed=0)
     v = unit(np.ones((1, 8))).astype(np.float32)
     idx.add_batch(v)
-    assert idx.search(v[0], 3)[0][0] == 0
+    assert idx.search(v[0], 3, ef=32)[0][0] == 0
 
 
 def test_memory_bytes(built):

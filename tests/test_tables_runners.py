@@ -46,9 +46,10 @@ def test_table6_runner_tiny(spark, tmp_path, monkeypatch):
     df = T.table6_memory(spark, scale=0.05, epochs=3)
     assert list(df["method"]) == ["No Index", "LSH Index", "HNSW Index"]
     assert (df["memory_mb"] > 0).all()
-    no_idx = df.set_index("method")
-    assert no_idx.loc["LSH Index", "memory_mb"] >= no_idx.loc["No Index", "memory_mb"]
-    assert no_idx.loc["HNSW Index", "memory_mb"] >= no_idx.loc["No Index", "memory_mb"]
+    # the LSH index adds ids, keys and offsets; HNSW a copy of the vectors
+    # and its link lists (DESIGN.md §5)
+    mem = df.set_index("method")["memory_mb"]
+    assert mem["No Index"] < mem["LSH Index"] < mem["HNSW Index"]
 
 
 def test_table7_runner_tiny(spark):
