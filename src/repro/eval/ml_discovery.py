@@ -318,6 +318,8 @@ def _featurize(df: DataFrame, embedder: Embedder) -> tuple[DataFrame, list[str]]
 
 # Seed of the train/test split and of the GBT.
 GBT_SEED = 5
+# Training epochs of the Starmie encoder that retrieves the join tables.
+ML_EPOCHS = 8
 
 
 def train_eval_gbt(df: DataFrame, embedder: Embedder, *, max_iter: int) -> float:
@@ -338,15 +340,13 @@ def train_eval_gbt(df: DataFrame, embedder: Embedder, *, max_iter: int) -> float
 
 
 def run_ml_discovery(
-    spark: SparkSession, *, n_tasks: int, n_filler: int, seed: int, epochs: int,
-    gbt_iter: int,
+    spark: SparkSession, tasks: list[MLTask], lake: Lake, *, gbt_iter: int
 ) -> pd.DataFrame:
-    """Full Table 7/11 harness. Returns per-task MSE per method."""
+    """Table 7/11 harness over a ``build_ml_corpus`` corpus. Returns per-task MSE per method."""
     from ..experiments.common import build_method, prepare
 
-    tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
     prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", epochs=epochs)
+    bundle = build_method(prep, "starmie", epochs=ML_EPOCHS)
     token_sets = _lake_token_sets(lake)
 
     records = []

@@ -16,7 +16,7 @@ from ..datalake import io as lake_io
 from ..datalake.generator import build_benchmark, microbench_lake
 from ..eval.clustering import cluster_columns, column_labels
 from ..eval.metrics import evaluate_rankings, ideal_recall
-from ..eval.ml_discovery import run_ml_discovery, summarize_ml
+from ..eval.ml_discovery import build_ml_corpus, run_ml_discovery, summarize_ml
 from .common import LEARNED_METHODS, build_method, prepare, run_union_search
 
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
@@ -179,13 +179,11 @@ def table6_memory(
 
 def table7_ml(
     spark: SparkSession, *, n_tasks: int = 25, n_filler: int = 40,
-    seed: int = 31, epochs: int = 8, gbt_iter: int = 12,
+    seed: int = 31, gbt_iter: int = 12,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Tables 7 + 11: ML data-discovery case study."""
-    detail = run_ml_discovery(
-        spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed, epochs=epochs,
-        gbt_iter=gbt_iter,
-    )
+    tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
+    detail = run_ml_discovery(spark, tasks, lake, gbt_iter=gbt_iter)
     return summarize_ml(detail), detail
 
 

@@ -135,7 +135,7 @@ def test_tus_style_lakes_pinned(spark):
     assert _rows_sha256(mb) == MICROBENCH_ROWS_SHA256
 
 
-def test_lake_without_rows_has_no_tables(tiny_santos):
+def test_lake_without_rows_rejects_tables(tiny_santos):
     """A lake built from its DataFrame alone (as one read back from parquet)
     names itself in a ``ValueError`` rather than listing no tables, so SANTOS
     cannot rank against an empty lake."""
