@@ -4,8 +4,9 @@
     python jobs/run.py RUNNER --help        # the flags RUNNER accepts
 
 Only the flags given are forwarded, so each runner's signature is the one
-home of its defaults. ``results/`` publishes those defaults: a run with no
-flags writes the runner's CSVs there, and a run with any flag only prints.
+home of its defaults; the settings no caller varies are constants
+beside the runners. ``results/`` publishes the defaults: a run with no flags
+writes the runner's CSVs there, and a run with any flag only prints.
 """
 import argparse
 from pathlib import Path

@@ -124,6 +124,15 @@ def emb_block(tokens: list[str], embedder: Embedder) -> np.ndarray:
 # Spark pass producing baseline embeddings in the common EMB_SCHEMA.
 # ---------------------------------------------------------------------------
 
+# The per-column blocks, each a function of (cells, tokens, embedder).
+COLUMN_BLOCKS = {
+    "stats": lambda cells, tokens, emb: stats_block(cells, tokens),
+    "char": lambda cells, tokens, emb: char_block(cells),
+    "format": lambda cells, tokens, emb: format_block(cells),
+    "hashset": lambda cells, tokens, emb: hashset_block(tokens),
+    "emb": lambda cells, tokens, emb: emb_block(tokens, emb),
+}
+
 SPECS: dict[str, list[tuple[str, float]]] = {
     # (block, weight) lists; weights are squared-mass shares (Σ = 1).
     # Sherlock (Hulsebos et al. [21]): its feature groups — statistics,
@@ -145,8 +154,10 @@ SPECS: dict[str, list[tuple[str, float]]] = {
 def feature_embeddings(
     tokens_df: DataFrame, embedder: Embedder, method: str
 ) -> DataFrame:
-    """Compute a baseline's column vectors lake-wide (applyInPandas per table)."""
+    """Compute a baseline's column vectors lake-wide (applyInPandas per table),
+    computing only the blocks of the method's ``SPECS`` entry."""
     spec = SPECS[method]
+    names = [b for b, _ in spec if b != "topic"]
     spark = tokens_df.sparkSession
     vec_b = spark.sparkContext.broadcast(embedder.vectors)
     dim = embedder.dim
@@ -158,14 +169,7 @@ def feature_embeddings(
         for cells, cell_tokens in zip(pdf["cells"], pdf["cell_tokens"]):
             cells = list(cells)
             tokens = [t for ct in cell_tokens for t in ct]
-            blocks = {
-                "stats": stats_block(cells, tokens),
-                "char": char_block(cells),
-                "format": format_block(cells),
-                "hashset": hashset_block(tokens),
-                "emb": emb_block(tokens, emb),
-            }
-            per_col.append(blocks)
+            per_col.append({b: COLUMN_BLOCKS[b](cells, tokens, emb) for b in names})
         if any(b == "topic" for b, _ in spec):
             topic = _l2(np.mean([c["emb"] for c in per_col], axis=0))
             for c in per_col:

@@ -254,8 +254,12 @@ class MultiColumnEncoder:
         return b @ self.W1.T + c @ self.W2.T
 
     def encode_view(self, view: TableView) -> np.ndarray:
+        """One unit-norm row per column; a column with no units gets a zero
+        row, so it matches nothing (DESIGN.md §2)."""
         b = base_vectors(view.cols, self.d_in)
-        return normalize_rows(self.forward(b, context_vectors(b)))
+        z = normalize_rows(self.forward(b, context_vectors(b)))
+        z[[not len(c.rows) for c in view.cols]] = 0.0
+        return z
 
     # -- training (Algorithm 1, multi-column variant of §3.3) -------------
     def train(

@@ -312,7 +312,7 @@ def microbench_lake(
 
 
 # ---------------------------------------------------------------------------
-# Registry used by jobs / experiments (lite scales of the paper's Table 2).
+# Registry used by the jobs and the table runners (lite scales of the paper's Table 2).
 # ---------------------------------------------------------------------------
 
 def build_benchmark(spark: SparkSession, name: str, scale: float = 1.0) -> Lake:

@@ -15,6 +15,9 @@ same global pool) but carries only noise features. Methods:
   similarity term (Appendix F formula), over the vector store
   ``build_method`` returns; query tables are embedded with its encoder.
 
+This module holds the corpus, the retrieval rules, the join, the GBT and
+the Table 7 summary; the runner ``table7_ml`` ties them together.
+
 The paper uses XGBoost + Sentence Transformers; we use MLlib's
 ``GBTRegressor`` + our Word2Vec column featurizer (see DESIGN.md §2).
 The join preserves the query's row count via dedup-then-left-join,
@@ -171,41 +174,46 @@ def build_ml_corpus(
 # ---------------------------------------------------------------------------
 
 def _col_tokens(cells: list[str]) -> set[str]:
-    out: set[str] = set()
-    for c in cells:
-        out.update(tokenize_cell(c))
-    return out
+    return {t for c in cells for t in tokenize_cell(c)}
 
 
-def _lake_token_sets(lake: Lake) -> dict[str, dict[int, set[str]]]:
-    out: dict[str, dict[int, set[str]]] = {}
-    for tid, cols in lake.tables().items():
-        out[tid] = {c["col_idx"]: _col_tokens(c["cells"]) for c in cols}
-    return out
+def lake_token_sets(tokens_df: DataFrame) -> dict[tuple[str, int], set[str]]:
+    """Each lake column's distinct tokens, keyed by ``(table_id, col_idx)``,
+    from the tokenized lake (``core.tokenize.tokenize_lake``)."""
+    rows = tokens_df.select("table_id", "col_idx",
+                            F.array_distinct(F.flatten("cell_tokens"))).collect()
+    return {(tid, ci): set(tokens) for tid, ci, tokens in rows}
 
 
-def retrieve_syntactic(
-    task: MLTask, lake: Lake, token_sets, metric: str
-) -> tuple[str, str, int]:
+def join_candidates(
+    task: MLTask, tables: dict[str, list[dict]]
+) -> tuple[list[str], dict[str, tuple[list[int], list[int]]]]:
+    """Appendix F's candidate columns, the one rule every retrieval applies:
+    the query's textual non-target columns, and per lake table, in lake order,
+    the positions of its columns that are not rating-like (label leakage) and
+    of those that are textual join keys. Joining on free floats is
+    meaningless, and numeric magnitude buckets would make spurious key overlap.
+    """
+    q = task.query_pdf
+    qcols = [c for c in q.columns if c != TARGET and q[c].dtype == object]
+    lake = {}
+    for tid, cols in tables.items():
+        keep_any = [j for j, c in enumerate(cols) if c["sem_type"] != "rating_val"]
+        lake[tid] = keep_any, [j for j in keep_any if not TYPES[cols[j]["sem_type"]].is_numeric]
+    return qcols, lake
+
+
+def retrieve_syntactic(task: MLTask, tables: dict[str, list[dict]],
+                       token_sets: dict[tuple[str, int], set[str]],
+                       metric: str) -> tuple[str, str, int]:
     """Best (table, query col, lake col) by Jaccard/Overlap (Appendix F)."""
-    # join keys must be textual: joining on free floats is meaningless,
-    # and numeric magnitude buckets would create spurious key overlap.
-    # Applied symmetrically to every retrieval method.
-    q_sets = {
-        c: _col_tokens(task.query_pdf[c].astype(str).tolist())
-        for c in task.query_pdf.columns
-        if c != TARGET and task.query_pdf[c].dtype == object
-    }
-    tables = lake.tables()
+    qcols, lake = join_candidates(task, tables)
+    q_sets = {c: _col_tokens(task.query_pdf[c].astype(str).tolist()) for c in qcols}
     best_tid, best_qc, best_ci, best_score = None, None, None, -1.0
-    for tid, cols in token_sets.items():
-        types = {c["col_idx"]: c["sem_type"] for c in tables[tid]}
-        for ci, tset in cols.items():
-            ty = types.get(ci)
-            if ty == "rating_val":
-                continue  # label-leakage exclusion (Appendix F)
-            if ty is not None and TYPES[ty].is_numeric:
-                continue  # textual join keys only
+    for tid, (_, keep_join) in lake.items():
+        for j in keep_join:
+            ci = tables[tid][j]["col_idx"]
+            tset = token_sets[(tid, ci)]
             for qc, qset in q_sets.items():
                 inter = len(qset & tset)
                 score = inter / max(1, len(qset | tset)) if metric == "jaccard" else float(inter)
@@ -234,26 +242,15 @@ def embed_query_table(
     return qcols, encoder.encode_view(view)
 
 
-def retrieve_starmie(
-    task: MLTask,
-    lake_emb: dict[str, np.ndarray],
-    qcols: list[str],
-    qvecs: np.ndarray,
-    lake: Lake,
-) -> tuple[str, str, int]:
+def retrieve_starmie(task: MLTask, lake_emb: dict[str, np.ndarray], qcols: list[str],
+                     qvecs: np.ndarray, tables: dict[str, list[dict]]) -> tuple[str, str, int]:
     """argmax_T [max cos(s_i,t_j) + max cos(s_target,t_j)] (Appendix F)."""
-    tables = lake.tables()
+    join_qcols, lake = join_candidates(task, tables)
     target_i = qcols.index(TARGET)
-    # textual join keys only — same restriction as the syntactic methods
-    nontarget = [
-        i for i, c in enumerate(qcols)
-        if i != target_i and task.query_pdf[c].dtype == object
-    ]
+    nontarget = [qcols.index(c) for c in join_qcols]
     best = (None, None, None, -np.inf)
     for tid, mat in lake_emb.items():
-        types = [c["sem_type"] for c in tables[tid]]
-        keep_any = [j for j, ty in enumerate(types) if ty != "rating_val"]
-        keep_join = [j for j in keep_any if not TYPES[types[j]].is_numeric]
+        keep_any, keep_join = lake[tid]
         if not keep_join:
             continue
         join_sims = qvecs[nontarget] @ mat[keep_join].T
@@ -267,21 +264,17 @@ def retrieve_starmie(
 
 
 # ---------------------------------------------------------------------------
-# Join + GBT harness
+# Join + GBT
 # ---------------------------------------------------------------------------
 
-def _lake_table_pdf(lake: Lake, tid: str) -> pd.DataFrame:
-    cols = lake.tables()[tid]
-    return pd.DataFrame({f"t_{c['col_idx']}_{c['col_name']}": c["cells"] for c in cols})
-
-
 def augment_with_join(
-    spark: SparkSession, task: MLTask, lake: Lake, tid: str, qc: str, ci: int
+    spark: SparkSession, task: MLTask, cols: list[dict], qc: str, ci: int
 ) -> DataFrame:
-    """Dedup-then-left-join, preserving the query table's row count."""
+    """Dedup-then-left-join of the query with the lake table of columns ``cols``
+    on column ``ci``, preserving the query table's row count."""
     q = spark.createDataFrame(task.query_pdf)
-    t_pdf = _lake_table_pdf(lake, tid)
-    join_col = f"t_{ci}_{lake.tables()[tid][ci]['col_name']}"
+    t_pdf = pd.DataFrame({f"t_{c['col_idx']}_{c['col_name']}": c["cells"] for c in cols})
+    join_col = f"t_{ci}_{cols[ci]['col_name']}"
     t = spark.createDataFrame(t_pdf).dropDuplicates([join_col])
     # string-cast both sides: retrieval may pair a numeric query column
     # with a string lake column, and lake cells may be empty strings
@@ -318,8 +311,6 @@ def _featurize(df: DataFrame, embedder: Embedder) -> tuple[DataFrame, list[str]]
 
 # Seed of the train/test split and of the GBT.
 GBT_SEED = 5
-# Training epochs of the Starmie encoder that retrieves the join tables.
-ML_EPOCHS = 8
 
 
 def train_eval_gbt(df: DataFrame, embedder: Embedder, *, max_iter: int) -> float:
@@ -339,51 +330,19 @@ def train_eval_gbt(df: DataFrame, embedder: Embedder, *, max_iter: int) -> float
     return float(row["mse"])
 
 
-def run_ml_discovery(
-    spark: SparkSession, tasks: list[MLTask], lake: Lake, *, gbt_iter: int
-) -> pd.DataFrame:
-    """Table 7/11 harness over a ``build_ml_corpus`` corpus. Returns per-task MSE per method."""
-    from ..experiments.common import build_method, prepare
-
-    prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", epochs=ML_EPOCHS)
-    token_sets = _lake_token_sets(lake)
-
-    records = []
-    for task in tasks:
-        rec = {"task": task.name, "n_rows": len(task.query_pdf)}
-        q_df = spark.createDataFrame(task.query_pdf)
-        rec["NoJoin"] = train_eval_gbt(q_df, prep.embedder, max_iter=gbt_iter)
-        for metric in ("jaccard", "overlap"):
-            tid, qc, ci = retrieve_syntactic(task, lake, token_sets, metric)
-            joined = augment_with_join(spark, task, lake, tid, qc, ci)
-            rec[metric.capitalize()] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)
-            rec[f"{metric}_tid"] = tid
-        qcols, qvecs = embed_query_table(task, prep.embedder, bundle.encoder, prep.idf)
-        tid, qc, ci = retrieve_starmie(task, bundle.store.mats, qcols, qvecs, lake)
-        joined = augment_with_join(spark, task, lake, tid, qc, ci)
-        rec["Starmie"] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)
-        rec["starmie_tid"] = tid
-        records.append(rec)
-    return pd.DataFrame(records)
-
-
 def summarize_ml(results: pd.DataFrame) -> pd.DataFrame:
     """The Table 7 summary: avg MSE, improvement, #improved, avg improvement."""
     out = []
     base = results["NoJoin"]
     for m in ("NoJoin", "Jaccard", "Overlap", "Starmie"):
         mse = results[m]
+        improved = mse < base - 1e-12
         red = (base - mse) / base.replace(0, np.nan)
-        out.append(
-            {
-                "method": m,
-                "avg_mse": mse.mean(),
-                "improvement_pct": 100 * (base.mean() - mse.mean()) / base.mean(),
-                "n_improved": int((mse < base - 1e-12).sum()),
-                "avg_task_improvement_pct": 100 * red[mse < base - 1e-12].mean()
-                if (mse < base - 1e-12).any()
-                else 0.0,
-            }
-        )
+        out.append({
+            "method": m,
+            "avg_mse": mse.mean(),
+            "improvement_pct": 100 * (base.mean() - mse.mean()) / base.mean(),
+            "n_improved": int(improved.sum()),
+            "avg_task_improvement_pct": 100 * red[improved].mean() if improved.any() else 0.0,
+        })
     return pd.DataFrame(out)

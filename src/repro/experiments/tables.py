@@ -4,37 +4,63 @@ Each runner returns a pandas DataFrame shaped like the paper's table
 (``table7_ml`` returns the Table 7 summary and the Table 11 detail) and
 writes no ``results/`` CSV. ``jobs/run.py RUNNER [flags]`` runs one of
 them by name and forwards only the flags given on its command line, so
-each runner's signature is the one home of its defaults; a run with no
-flags also writes the runner's CSVs under ``results/``.
+each runner's signature is the one home of its defaults; the settings no
+caller varies are the constants beside the runners. A run with no flags
+also writes the runner's CSVs under ``results/``.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from functools import partial
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..datalake import io as lake_io
-from ..datalake.generator import build_benchmark, microbench_lake
+from ..datalake.generator import Lake, build_benchmark, microbench_lake, santos_lake
 from ..eval.clustering import cluster_columns, column_labels
 from ..eval.metrics import evaluate_rankings, ideal_recall
-from ..eval.ml_discovery import build_ml_corpus, run_ml_discovery, summarize_ml
-from .common import LEARNED_METHODS, build_method, prepare, run_union_search
+from ..eval.ml_discovery import (augment_with_join, build_ml_corpus, embed_query_table,
+                                 lake_token_sets, retrieve_starmie, retrieve_syntactic,
+                                 summarize_ml, train_eval_gbt)
+from ..search.engine import MODES, SearchEngine
+from .common import (LEARNED_METHODS, MethodBundle, Prepared, SearchRun, build_method,
+                     prepare, run_union_search)
 
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
+LR = 3e-3  # Tables 3 and 5's learning rate; the others train at train_encoder's
 
 
-def _build(prep, method: str, **train_kw):
-    """``build_method`` with a runner's training keywords, which only a
-    learned method takes."""
-    return build_method(prep, method, **(train_kw if method in LEARNED_METHODS else {}))
+def _bundles(spark: SparkSession, lake: Lake, methods: Iterable[str],
+             **train_kw) -> Iterator[tuple[Prepared, MethodBundle]]:
+    """Prepare ``lake`` once and yield ``(prep, bundle)`` per method, passing
+    ``train_kw`` to the learned methods only; once the caller's loop ends,
+    release the DataFrames ``prepare`` persisted."""
+    prep = prepare(spark, lake)
+    try:
+        for m in methods:
+            yield prep, build_method(prep, m, **(train_kw if m in LEARNED_METHODS else {}))
+    finally:
+        prep.tokens_df.unpersist()
+        prep.prep_df.unpersist()
 
 
-def table2_stats(spark: SparkSession, *, scale: float = 1.0,
-                 benchmarks: tuple[str, ...] | None = None) -> pd.DataFrame:
+def _scores(bundle: MethodBundle, lake: Lake, k: int,
+            mode: str = "pruning") -> tuple[dict[str, float], SearchRun]:
+    """Top-k search for every query of ``lake``: MAP, P and R to 3 digits, and the run."""
+    run = run_union_search(bundle, lake.queries, k=k, mode=mode)
+    ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
+    return {m: round(ev[m], 3) for m in ("map", "p", "r")}, run
+
+
+def table2_stats(
+    spark: SparkSession,
+    *,
+    scale: float = 1.0,
+    benchmarks: tuple[str, ...] = ("santos_small_lite", "tus_small_lite", "tus_large_lite",
+                                   "santos_large_lite", "wdc_lite"),
+) -> pd.DataFrame:
     """Table 2: benchmark statistics (lite scales)."""
-    benchmarks = benchmarks or (
-        "santos_small_lite", "tus_small_lite", "tus_large_lite",
-        "santos_large_lite", "wdc_lite",
-    )
     rows = []
     for b in benchmarks:
         lake = build_benchmark(spark, b, scale)
@@ -52,30 +78,21 @@ def table3_effectiveness(
     benchmarks: tuple[str, ...] = ("santos_small_lite", "tus_small_lite", "tus_large_lite"),
     methods: tuple[str, ...] = ("singlecol", "sato", "sherlock", "santos", "d3l", "starmie"),
     epochs: int = 30,
-    lr: float = 3e-3,
 ) -> pd.DataFrame:
     """Table 3: MAP@k and R@k for all methods on the labeled benchmarks."""
     rows = []
     for b in benchmarks:
         lake = build_benchmark(spark, b, scale)
-        prep = prepare(spark, lake)
         k = min(BENCH_K.get(b, 10), max(5, len(lake.tables()) // 4))
-        for m in methods:
-            if m == "santos" and b == "tus_large_lite":
-                # the paper cannot evaluate SANTOS on TUS Large (no
-                # annotated intent columns); we mirror the "-" cell.
-                rows.append({"benchmark": b, "k": k, "method": m,
-                             "map": None, "r": None, "p": None, "ideal_r": None})
-                continue
-            bundle = _build(prep, m, epochs=epochs, lr=lr)
-            run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
-            ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
-            rows.append({"benchmark": b, "k": k, "method": m,
-                         "map": round(ev["map"], 3), "p": round(ev["p"], 3),
-                         "r": round(ev["r"], 3),
-                         "ideal_r": round(ideal_recall(lake.ground_truth, k), 3)})
-        prep.tokens_df.unpersist()
-        prep.prep_df.unpersist()
+        # the paper cannot evaluate SANTOS on TUS Large (no annotated intent
+        # columns); we mirror the "-" cell.
+        built = [m for m in methods if not (m == "santos" and b == "tus_large_lite")]
+        scored = {bundle.name: _scores(bundle, lake, k)[0]
+                  for _, bundle in _bundles(spark, lake, built, epochs=epochs, lr=LR)}
+        ideal_r = round(ideal_recall(lake.ground_truth, k), 3)
+        rows += [{"benchmark": b, "k": k, "method": m,
+                  **scored.get(m, dict.fromkeys(("map", "p", "r"))),
+                  "ideal_r": ideal_r if m in scored else None} for m in methods]
     return pd.DataFrame(rows)
 
 
@@ -90,16 +107,10 @@ def table4_negative_classes(
     rows = []
     for c in classes:
         lake = microbench_lake(spark, n_negative_classes=c, n_tables=n_tables)
-        prep = prepare(spark, lake)
-        bundle = build_method(prep, "starmie", epochs=epochs)
-        rec = {"n_negative_classes": c}
-        for k_name, k in (("map_60", 60), ("map_120", 120)):
-            run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
-            ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
-            rec[k_name] = round(ev["map"], 3)
-        rows.append(rec)
-        prep.tokens_df.unpersist()
-        prep.prep_df.unpersist()
+        for _, bundle in _bundles(spark, lake, ("starmie",), epochs=epochs):
+            rows.append({"n_negative_classes": c,
+                         "map_60": _scores(bundle, lake, 60)[0]["map"],
+                         "map_120": _scores(bundle, lake, 120)[0]["map"]})
     return pd.DataFrame(rows)
 
 
@@ -109,29 +120,23 @@ def table5_design_choices(
     scale: float = 1.0,
     bench: str = "santos_small_lite",
     methods: tuple[str, ...] = ("starmie", "sato", "sherlock", "singlecol"),
-    modes: tuple[str, ...] = ("linear", "pruning", "lsh", "hnsw"),
     k: int = 10,
     epochs: int = 30,
-    lr: float = 3e-3,
 ) -> pd.DataFrame:
     """Tables 5 + 8: design choices × methods (quality, time, verifications).
 
     The ``starmie`` rows are Table 5's top block; the full cross product
-    is Table 8. Also records the Linear-vs-Pruning verification counts
-    backing the §5.3 '550 → 342' observation.
+    (every mode of ``search.engine.MODES``) is Table 8. Also records the
+    Linear-vs-Pruning verification counts backing the §5.3 '550 → 342'
+    observation.
     """
     lake = build_benchmark(spark, bench, scale)
-    prep = prepare(spark, lake)
     rows = []
-    for m in methods:
-        bundle = _build(prep, m, epochs=epochs, lr=lr)
-        for mode in modes:
-            run = run_union_search(bundle, lake.queries, k=k, mode=mode)
-            ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
+    for _, bundle in _bundles(spark, lake, methods, epochs=epochs, lr=LR):
+        for mode in MODES:
+            scores, run = _scores(bundle, lake, k, mode)
             rows.append({
-                "method": m, "technique": mode,
-                "map": round(ev["map"], 3), "p": round(ev["p"], 3),
-                "r": round(ev["r"], 3),
+                "method": bundle.name, "technique": mode, **scores,
                 "query_time_s": round(run.avg_query_seconds, 5),
                 "avg_verifications": round(run.avg_verifications, 1),
                 "avg_candidates": round(run.avg_candidates, 1),
@@ -150,8 +155,6 @@ def table6_memory(
     lake as raw cell bytes (the paper's 11 GB is raw open-data CSV;
     parquet compresses synthetic vocabulary ~50×).
     """
-    from ..datalake.generator import santos_lake
-
     lake = santos_lake(
         spark, name="santos_large_mem", n_domains=36,
         tables_per_domain=max(3, int(24 * scale)),
@@ -159,32 +162,63 @@ def table6_memory(
     )
     lake_io.save_lake(lake.df, "santos_large_mem")
     raw_bytes = lake_io.lake_raw_bytes(lake.df)
-    prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", epochs=epochs)
-    from ..search.engine import SearchEngine
-
     rows = []
-    for mode, label in (("linear", "No Index"), ("lsh", "LSH Index"), ("hnsw", "HNSW Index")):
-        eng = SearchEngine(store=bundle.store, mode=mode, tau=bundle.tau)
-        mem = eng.memory_bytes()
-        rows.append({
-            "method": label,
-            "memory_mb": round(mem / (1 << 20), 2),
-            "lake_mb": round(raw_bytes / (1 << 20), 2),
-            "parquet_mb": round(lake_io.dataset_bytes("santos_large_mem") / (1 << 20), 2),
-            "space_overhead_pct": round(100 * mem / raw_bytes, 2),
-        })
+    for _, bundle in _bundles(spark, lake, ("starmie",), epochs=epochs):
+        for mode, label in (("linear", "No Index"), ("lsh", "LSH Index"),
+                            ("hnsw", "HNSW Index")):
+            mem = SearchEngine(store=bundle.store, mode=mode, tau=bundle.tau).memory_bytes()
+            rows.append({
+                "method": label,
+                "memory_mb": round(mem / (1 << 20), 2),
+                "lake_mb": round(raw_bytes / (1 << 20), 2),
+                "parquet_mb": round(lake_io.dataset_bytes("santos_large_mem") / (1 << 20), 2),
+                "space_overhead_pct": round(100 * mem / raw_bytes, 2),
+            })
     return pd.DataFrame(rows)
 
 
+# The ML study's corpus seed, and the training epochs of the Starmie encoder
+# that retrieves its join tables.
+ML_SEED = 31
+ML_EPOCHS = 8
+
+
 def table7_ml(
-    spark: SparkSession, *, n_tasks: int = 25, n_filler: int = 40,
-    seed: int = 31, gbt_iter: int = 12,
+    spark: SparkSession, *, n_tasks: int = 25, n_filler: int = 40, gbt_iter: int = 12,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Tables 7 + 11: ML data-discovery case study."""
-    tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
-    detail = run_ml_discovery(spark, tasks, lake, gbt_iter=gbt_iter)
+    """Tables 7 + 11: ML data-discovery case study, per-task MSE per method.
+
+    Each task's GBT runs on the query table alone (NoJoin) and joined with
+    the table each retrieval method picks (Jaccard, Overlap, Starmie).
+    """
+    tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=ML_SEED)
+    tables = lake.tables()
+    records = []
+    for prep, bundle in _bundles(spark, lake, ("starmie",), epochs=ML_EPOCHS):
+        token_sets = lake_token_sets(prep.tokens_df)
+        mse = partial(train_eval_gbt, embedder=prep.embedder, max_iter=gbt_iter)
+        for task in tasks:
+            picks = {m: retrieve_syntactic(task, tables, token_sets, m)
+                     for m in ("jaccard", "overlap")}
+            qcols, qvecs = embed_query_table(task, prep.embedder, bundle.encoder, prep.idf)
+            picks["starmie"] = retrieve_starmie(task, bundle.store.mats, qcols, qvecs, tables)
+            rec = {"task": task.name, "n_rows": len(task.query_pdf),
+                   "NoJoin": mse(spark.createDataFrame(task.query_pdf))}
+            for m, (tid, qc, ci) in picks.items():
+                rec[m.capitalize()] = mse(augment_with_join(spark, task, tables[tid], qc, ci))
+                rec[f"{m}_tid"] = tid
+            records.append(rec)
+    detail = pd.DataFrame(records)
     return summarize_ml(detail), detail
+
+
+# Table 10's θ grid. Sherlock's feature vectors keep many columns above 0.99,
+# so the grid continues past it in finer steps until every method's pick lies
+# inside the grid rather than at its edge.
+THETAS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.99,
+          0.991, 0.992, 0.993)
+# The average cluster size each method's θ is picked to match.
+TARGET_AVG_CLUSTER_SIZE = 15.0
 
 
 def table10_clustering(
@@ -193,7 +227,6 @@ def table10_clustering(
     scale: float = 1.0,
     methods: tuple[str, ...] = ("sherlock", "sato", "starmie", "singlecol"),
     epochs: int = 10,
-    target_avg_size: float = 15.0,
 ) -> pd.DataFrame:
     """Table 10: column-clustering purity.
 
@@ -204,26 +237,18 @@ def table10_clustering(
     our scale (~2k columns / ~79 types → target avg size ≈ 15) and pick
     each method's θ from a grid to match it, then report purity.
     """
-    from ..datalake.generator import santos_lake
-
     lake = santos_lake(spark, name="wdc_cluster_lite", n_domains=36,
                        tables_per_domain=max(4, int(16 * scale)),
                        n_queries=4, seed=41)
-    prep = prepare(spark, lake)
-    # Sherlock's feature vectors keep many columns above 0.99, so the grid
-    # continues past it in finer steps until every method's pick lies
-    # inside the grid rather than at its edge.
-    thetas = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.99,
-              0.991, 0.992, 0.993)
+    tables = lake.tables()
     rows = []
-    for m in methods:
-        store = _build(prep, m, epochs=epochs).store
-        vecs, _ = store.flat()
-        labels = column_labels(store, lake.tables())
-        grid = {t: cluster_columns(vecs, labels, theta=t) for t in thetas}
-        theta = min(grid, key=lambda t: abs(grid[t].avg_size - target_avg_size))
+    for _, bundle in _bundles(spark, lake, methods, epochs=epochs):
+        vecs, _ = bundle.store.flat()
+        labels = column_labels(bundle.store, tables)
+        grid = {t: cluster_columns(vecs, labels, theta=t) for t in THETAS}
+        theta = min(grid, key=lambda t: abs(grid[t].avg_size - TARGET_AVG_CLUSTER_SIZE))
         res = grid[theta]
-        rows.append({"method": m, "theta": theta, "n_clusters": res.n_clusters,
+        rows.append({"method": bundle.name, "theta": theta, "n_clusters": res.n_clusters,
                      "avg_cluster_size": round(res.avg_size, 2),
                      "purity_pct": round(100 * res.purity, 2)})
     return pd.DataFrame(rows)
@@ -234,22 +259,21 @@ def scalability_sweep(
     *,
     bench: str = "santos_large_lite",
     scale: float = 1.0,
-    modes: tuple[str, ...] = ("linear", "pruning", "lsh", "hnsw"),
+    modes: tuple[str, ...] = MODES,
     ks: tuple[int, ...] = (10, 60),
     epochs: int = 6,
 ) -> pd.DataFrame:
     """Query-time scalability behind Fig. 10 (supports Table 5/8 narrative)."""
     lake = build_benchmark(spark, bench, scale)
-    prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", epochs=epochs)
     rows = []
-    for mode in modes:
-        for k in ks:
-            run = run_union_search(bundle, lake.queries, k=k, mode=mode)
-            rows.append({
-                "bench": bench, "n_tables": len(bundle.store.table_ids),
-                "mode": mode, "k": k,
-                "query_time_s": round(run.avg_query_seconds, 5),
-                "index_build_s": round(run.index_build_seconds, 2),
-            })
+    for _, bundle in _bundles(spark, lake, ("starmie",), epochs=epochs):
+        for mode in modes:
+            for k in ks:
+                run = run_union_search(bundle, lake.queries, k=k, mode=mode)
+                rows.append({
+                    "bench": bench, "n_tables": len(bundle.store.table_ids),
+                    "mode": mode, "k": k,
+                    "query_time_s": round(run.avg_query_seconds, 5),
+                    "index_build_s": round(run.index_build_seconds, 2),
+                })
     return pd.DataFrame(rows)

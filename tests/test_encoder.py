@@ -23,7 +23,8 @@ from repro.core.encoder import (
     infer_embeddings,
     table_view,
 )
-from repro.experiments.common import build_method, train_encoder
+from repro.datalake.generator import _to_lake, santos_lake
+from repro.experiments.common import build_method, prepare, run_union_search, train_encoder
 from repro.search.engine import TableStore
 
 from . import _reference as ref
@@ -366,3 +367,33 @@ if __name__ == "__main__":
         spark.stop()
     for m in sys.argv[2:] or sorted(WEIGHTS_SANTOS_SHA256):
         print(m, _trained_digest(embedder, m, lake_views))
+
+
+def test_empty_column_matches_nothing(spark):
+    """An all-empty column, in a multi-column table or as a table's only
+    column, is stored as a zero row, so no query column has a τ-edge to it
+    and the empty one-column table is never listed (DESIGN.md §2)."""
+    base = santos_lake(spark, name="empty_cols", n_domains=4, tables_per_domain=3,
+                       rows_range=(20, 30), n_queries=2, seed=3)
+    rows = [dict(r) for r in base.rows]
+    multi = rows[0]["table_id"]
+    col = next(r for r in rows if r["table_id"] == multi and r["col_idx"] == 1)
+    col["cells"] = [""] * len(col["cells"])
+    rows.append({**rows[0], "table_id": "empty__t000", "col_idx": 0, "cells": [""] * 20})
+    lake = _to_lake(spark, "empty_cols", rows, base.queries, base.ground_truth)
+    prep = prepare(spark, lake)
+    try:
+        bundle = build_method(prep, "starmie", epochs=2)
+    finally:
+        prep.tokens_df.unpersist()
+        prep.prep_df.unpersist()
+    mats = bundle.store.mats
+    assert len(mats[multi]) > 2
+    empty = np.stack([mats[multi][1], mats["empty__t000"][0]])
+    assert not empty.any()
+    for tid, m in mats.items():
+        norms = np.linalg.norm(m, axis=1)
+        assert np.allclose(norms[norms > 0], 1.0, atol=1e-5), tid
+        assert (m @ empty.T < bundle.tau).all(), tid
+    run = run_union_search(bundle, sorted(mats), k=len(mats), mode="linear")
+    assert not any("empty__t000" in ranked for ranked in run.rankings.values())

@@ -6,14 +6,17 @@ from pyspark.sql import functions as F
 
 from repro.eval.ml_discovery import (
     MLTask,
-    _lake_token_sets,
     augment_with_join,
     build_ml_corpus,
     embed_query_table,
+    join_candidates,
+    lake_token_sets,
     retrieve_syntactic,
     summarize_ml,
     train_eval_gbt,
 )
+from repro.core.tokenize import tokenize_cell, tokenize_lake
+from repro.datalake.vocab import TYPES
 from repro.experiments.common import build_method
 from repro.oracle import assert_equivalent
 
@@ -58,9 +61,9 @@ def test_decoy_states_overlap_query(corpus):
 
 def test_retrieve_syntactic_returns_valid(corpus):
     tasks, lake = corpus
-    token_sets = _lake_token_sets(lake)
+    token_sets = lake_token_sets(tokenize_lake(lake.df))
     for metric in ("jaccard", "overlap"):
-        tid, qc, ci = retrieve_syntactic(tasks[0], lake, token_sets, metric)
+        tid, qc, ci = retrieve_syntactic(tasks[0], lake.tables(), token_sets, metric)
         assert tid in lake.tables()
         assert qc in tasks[0].query_pdf.columns and qc != "Rating"
         assert any(c["col_idx"] == ci for c in lake.tables()[tid])
@@ -69,9 +72,10 @@ def test_retrieve_syntactic_returns_valid(corpus):
 def test_join_preserves_row_count(spark, corpus):
     tasks, lake = corpus
     t = tasks[0]
-    token_sets = _lake_token_sets(lake)
-    tid, qc, ci = retrieve_syntactic(t, lake, token_sets, "overlap")
-    joined = augment_with_join(spark, t, lake, tid, qc, ci)
+    tables = lake.tables()
+    token_sets = lake_token_sets(tokenize_lake(lake.df))
+    tid, qc, ci = retrieve_syntactic(t, tables, token_sets, "overlap")
+    joined = augment_with_join(spark, t, tables[tid], qc, ci)
     assert joined.count() == len(t.query_pdf)
 
 
@@ -79,7 +83,7 @@ def test_join_vs_duckdb_oracle(spark, corpus):
     """The dedup-left-join recipe must match the same SQL in DuckDB."""
     tasks, lake = corpus
     t = tasks[0]
-    joined = augment_with_join(spark, t, lake, t.good_tid, "Entity", 0)
+    joined = augment_with_join(spark, t, lake.tables()[t.good_tid], "Entity", 0)
     got = joined.groupBy().agg(
         F.count("*").alias("n"),
         F.count("t_3_SupportAmt").alias("n_matched"),
@@ -104,7 +108,7 @@ def test_join_vs_duckdb_oracle(spark, corpus):
 def test_join_coverage_high_for_good_table(spark, corpus):
     tasks, lake = corpus
     t = tasks[0]
-    joined = augment_with_join(spark, t, lake, t.good_tid, "Entity", 0)
+    joined = augment_with_join(spark, t, lake.tables()[t.good_tid], "Entity", 0)
     n = joined.count()
     matched = joined.where(F.col("t_3_SupportAmt").isNotNull()).count()
     assert matched / n > 0.6
@@ -116,7 +120,7 @@ def test_gbt_improves_with_good_join(spark, corpus, prep_santos):
     t = tasks[0]
     q_df = spark.createDataFrame(t.query_pdf)
     mse_nojoin = train_eval_gbt(q_df, prep_santos.embedder, max_iter=8)
-    joined = augment_with_join(spark, t, lake, t.good_tid, "Entity", 0)
+    joined = augment_with_join(spark, t, lake.tables()[t.good_tid], "Entity", 0)
     mse_good = train_eval_gbt(joined, prep_santos.embedder, max_iter=8)
     assert 0 <= mse_good < mse_nojoin
 
@@ -154,3 +158,32 @@ def test_summarize_ml():
     assert s.loc["Starmie", "avg_mse"] == pytest.approx(0.1)
     assert s.loc["NoJoin", "improvement_pct"] == pytest.approx(0.0)
     assert s.loc["Starmie", "improvement_pct"] > s.loc["Overlap", "improvement_pct"]
+
+
+def test_lake_token_sets_match_cell_tokenization(corpus):
+    """The token sets read from the tokenized lake are each column's tokens
+    as ``tokenize_cell`` gives them, cell by cell."""
+    _, lake = corpus
+    sets = lake_token_sets(tokenize_lake(lake.df))
+    tables = lake.tables()
+    assert len(sets) == sum(len(cols) for cols in tables.values())
+    for tid, cols in tables.items():
+        for c in cols:
+            want = {t for cell in c["cells"] for t in tokenize_cell(cell)}
+            assert sets[(tid, c["col_idx"])] == want, (tid, c["col_idx"])
+
+
+def test_join_candidates_rule(corpus):
+    """Textual non-target query columns; lake columns other than rating-like
+    ones, and of those the textual ones as join keys."""
+    tasks, lake = corpus
+    tables = lake.tables()
+    qcols, cands = join_candidates(tasks[0], tables)
+    assert qcols == ["Entity", "State", "Category"]
+    assert list(cands) == list(tables)
+    for tid, (keep_any, keep_join) in cands.items():
+        types = [c["sem_type"] for c in tables[tid]]
+        assert keep_any == [j for j, ty in enumerate(types) if ty != "rating_val"]
+        assert keep_join == [j for j in keep_any if not TYPES[types[j]].is_numeric]
+    good_any, good_join = cands[tasks[0].good_tid]
+    assert good_any == list(range(6)) and good_join == [0, 1, 2, 5]
